@@ -25,6 +25,10 @@
 //                                     (--sequential for the string-keyed
 //                                     oracle), --classify labels VCG cycles
 //                                     against the reachable states
+//   ccsql serve [--sessions N] [--iterations N] [--no-cache]
+//         [--max-inflight N] [--writer N] [--script FILE] [-v]
+//                                     multi-session serving loop over
+//                                     snapshots + the plan cache
 //   ccsql flow                        the full push-button report
 //
 // Global flags (any command):
@@ -34,24 +38,24 @@
 //   --stats                    end-of-run one-page summary: top counters,
 //                              histogram p50/p95/max, pool utilization,
 //                              memory accounting (no trace file needed)
-//   --no-planner               run every query through the naive executor
-//                              (CCSQL_NO_PLANNER=1 does the same)
-//   --no-bytecode              evaluate predicates with the interpreted
-//                              expression walk instead of the vectorized
-//                              bytecode engine (CCSQL_NO_BYTECODE=1 does
-//                              the same); results are identical
 //   --jobs N                   parallel lanes for query execution, the
 //                              invariant suite, and VCG composition
 //                              (CCSQL_JOBS=N does the same; default:
 //                              hardware concurrency).  Results are
 //                              identical at any N.
 // CCSQL_TRACE / CCSQL_TRACE_FORMAT / CCSQL_METRICS=1 / CCSQL_JOBS in the
-// environment do the same.
+// environment do the same.  Each command accepts only the global flags and
+// its own; any other flag, a missing flag value or a malformed number
+// exits 2.
 //
 // All commands operate on the built-in ASURA reconstruction.
 #include <algorithm>
-#include <cstring>
+#include <cerrno>
+#include <climits>
+#include <cstdlib>
+#include <fstream>
 #include <iostream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -65,38 +69,51 @@
 #include "mapping/codegen.hpp"
 #include "obs/mem.hpp"
 #include "obs/obs.hpp"
-#include "plan/planner.hpp"
 #include "protocol/asura/asura.hpp"
-#include "serve_driver.hpp"
+#include "serve/server.hpp"
+#include "serve/session.hpp"
 #include "sim/machine.hpp"
 
 namespace {
 
 using namespace ccsql;
 
+/// Parsed command line.  Flags were checked against the command's accepted
+/// set at parse time, and integer values were validated, so the accessors
+/// cannot fail.
 struct Args {
   std::vector<std::string> positional;
-  std::vector<std::string> flags;
+  std::map<std::string, std::string> flags;  // switches map to ""
 
   [[nodiscard]] bool has(const std::string& f) const {
-    for (const auto& x : flags) {
-      if (x == f) return true;
-    }
-    return false;
+    return flags.count(f) != 0;
   }
   [[nodiscard]] int value_of(const std::string& f, int fallback) const {
-    for (std::size_t i = 0; i + 1 < flags.size(); ++i) {
-      if (flags[i] == f) return std::stoi(flags[i + 1]);
-    }
-    return fallback;
+    const auto it = flags.find(f);
+    return it == flags.end() ? fallback : std::stoi(it->second);
   }
   [[nodiscard]] std::string str_value_of(const std::string& f,
                                          const std::string& fallback) const {
-    for (std::size_t i = 0; i + 1 < flags.size(); ++i) {
-      if (flags[i] == f) return flags[i + 1];
-    }
-    return fallback;
+    const auto it = flags.find(f);
+    return it == flags.end() ? fallback : it->second;
   }
+};
+
+enum class FlagKind { kSwitch, kInt, kText };
+
+struct FlagSpec {
+  const char* name;
+  FlagKind kind;
+  /// What a valued flag needs, for the missing-value message.
+  const char* wants = "a non-negative integer";
+};
+
+constexpr FlagSpec kGlobalFlags[] = {
+    {"--trace", FlagKind::kText, "a file path"},
+    {"--trace-format", FlagKind::kText, "a format"},
+    {"--metrics", FlagKind::kSwitch},
+    {"--stats", FlagKind::kSwitch},
+    {"--jobs", FlagKind::kInt, "a positive thread count"},
 };
 
 int usage() {
@@ -133,7 +150,7 @@ int usage() {
          "                           the prepared-statement cache\n"
          "  flow                     full push-button report\n"
          "global flags: --trace FILE [--trace-format text|jsonl|chrome] "
-         "--metrics --stats --no-planner --no-bytecode --jobs N\n";
+         "--metrics --stats --jobs N\n";
   return 2;
 }
 
@@ -370,20 +387,101 @@ int cmd_lint(const ProtocolSpec& spec, const Args&) {
   return 0;
 }
 
+/// Stands up a serve::Server over the protocol database, drives N
+/// concurrent sessions over the invariant suite (or a --script of SELECTs,
+/// one per line, '#' comments and blank lines skipped), and prints the
+/// throughput/latency/cache report.  Exit 0 clean, 1 on violations, 2 on
+/// usage or setup errors.
 int cmd_serve(const ProtocolSpec& spec, const Args& args) {
-  apps::ServeCliOptions opts;
-  opts.sessions =
+  const auto sessions =
       static_cast<std::size_t>(args.value_of("--sessions", 8));
-  opts.iterations =
+  const auto iterations =
       static_cast<std::size_t>(args.value_of("--iterations", 1));
-  opts.use_cache = !args.has("--no-cache");
-  opts.max_inflight =
+  const bool use_cache = !args.has("--no-cache");
+  const auto max_inflight =
       static_cast<std::size_t>(args.value_of("--max-inflight", 0));
-  opts.writer_swaps = static_cast<std::size_t>(args.value_of("--writer", 0));
-  opts.script_path = args.str_value_of("--script", "");
-  opts.verbose = args.has("-v");
-  if (opts.sessions == 0) return usage();
-  return apps::run_serve(spec, opts, std::cout);
+  const auto writer_swaps =
+      static_cast<std::size_t>(args.value_of("--writer", 0));
+  const std::string script_path = args.str_value_of("--script", "");
+  if (sessions == 0) return usage();
+
+  std::vector<std::string> statements;
+  bool exists_mode = true;
+  if (!script_path.empty()) {
+    std::ifstream in(script_path);
+    if (!in) {
+      std::cout << "serve: cannot open script " << script_path << "\n";
+      return 2;
+    }
+    std::string line;
+    while (std::getline(in, line)) {
+      const std::size_t first = line.find_first_not_of(" \t\r");
+      if (first == std::string::npos || line[first] == '#') continue;
+      statements.push_back(line);
+    }
+    exists_mode = false;
+  } else {
+    for (const auto& inv : spec.invariants()) statements.push_back(inv.sql);
+  }
+  if (statements.empty()) {
+    std::cout << "serve: nothing to run\n";
+    return 2;
+  }
+
+  serve::ServerOptions server_opts;
+  server_opts.use_plan_cache = use_cache;
+  server_opts.max_inflight = max_inflight;
+  serve::Server server(spec.database(), server_opts);
+
+  serve::DriveOptions drive_opts;
+  drive_opts.sessions = sessions;
+  drive_opts.iterations = iterations;
+  drive_opts.exists_mode = exists_mode;
+  drive_opts.writer_swaps = writer_swaps;
+  if (writer_swaps > 0) {
+    drive_opts.writer_table = spec.controllers().front()->name();
+  }
+
+  serve::DriveReport report = serve::drive(server, statements, drive_opts);
+  const serve::ServerStats stats = server.stats();
+
+  std::ostream& os = std::cout;
+  os << "serve: " << sessions << " sessions x " << iterations
+     << " iterations over " << statements.size()
+     << (exists_mode ? " invariants" : " queries") << " (cache "
+     << (use_cache ? "on" : "off");
+  if (max_inflight > 0) os << ", max-inflight " << max_inflight;
+  os << ")\n";
+  os << "  queries=" << report.queries << " violations=" << report.violations
+     << " wall=" << report.wall_us / 1000 << "ms qps=" << std::uint64_t(
+            report.qps())
+     << " p50=" << report.latency_percentile_us(0.5)
+     << "us p95=" << report.latency_percentile_us(0.95) << "us\n";
+  os << "  plan_cache: hits=" << stats.cache.hits
+     << " misses=" << stats.cache.misses
+     << " evictions=" << stats.cache.evictions
+     << " invalidations=" << stats.cache.invalidations
+     << " entries=" << stats.cache.entries << "\n";
+  if (writer_swaps > 0) {
+    os << "  writer: swaps=" << report.writer_swaps
+       << " generation=" << stats.generation
+       << " admission_waits=" << stats.admission_waits << "\n";
+  }
+  if (args.has("-v")) {
+    for (const auto& s : report.sessions) {
+      os << "  session " << s.id << ": queries=" << s.queries
+         << " violations=" << s.violations << " run=" << s.run_us / 1000
+         << "ms\n";
+    }
+  }
+
+  // Make the run observable: serve.* gauges land in the process metrics
+  // registry (the --stats page reads them there, and a tracing run
+  // flushes them as counter events for trace_summary's serve digest).
+  if (obs::Tracer::global().enabled()) {
+    server.publish_stats(obs::Tracer::global().metrics());
+  }
+  return report.violations == 0 ? 0 : 1;
 }
 
 int cmd_flow(const ProtocolSpec& spec, const Args&) {
@@ -403,10 +501,6 @@ int configure_observability(const Args& args) {
   auto& tracer = obs::Tracer::global();
   if (args.has("--trace")) {
     const std::string path = args.str_value_of("--trace", "");
-    if (path.empty()) {
-      std::cerr << "error: --trace needs a file path\n";
-      return 2;
-    }
     obs::Format format = obs::format_for_path(path);
     if (args.has("--trace-format")) {
       auto parsed = obs::parse_format(args.str_value_of("--trace-format", ""));
@@ -419,8 +513,6 @@ int configure_observability(const Args& args) {
     tracer.set_sink(obs::open_trace_file(path, format));
   }
   if (args.has("--metrics") || args.has("--stats")) tracer.enable_metrics();
-  if (args.has("--no-planner")) plan::set_planner_enabled(false);
-  if (args.has("--no-bytecode")) set_bytecode_enabled(false);
   if (args.has("--jobs")) {
     const int jobs = args.value_of("--jobs", 0);
     if (jobs < 1) {
@@ -479,56 +571,122 @@ void print_stats_page(std::ostream& os) {
   }
 }
 
-int dispatch(const std::string& cmd, const Args& args) {
-  auto spec = ccsql::asura::make_asura();
-  if (cmd == "tables") return cmd_tables(*spec, args);
-  if (cmd == "sql") return cmd_sql(*spec, args);
-  if (cmd == "explain") return cmd_explain(*spec, args);
-  if (cmd == "invariants") return cmd_invariants(*spec, args);
-  if (cmd == "deadlock") return cmd_deadlock(*spec, args);
-  if (cmd == "map") return cmd_map(*spec, args);
-  if (cmd == "codegen") return cmd_codegen(*spec, args);
-  if (cmd == "sim") return cmd_sim(*spec, args);
-  if (cmd == "reach") return cmd_reach(*spec, args);
-  if (cmd == "lint") return cmd_lint(*spec, args);
-  if (cmd == "serve") return cmd_serve(*spec, args);
-  if (cmd == "flow") return cmd_flow(*spec, args);
-  return usage();
+struct Command {
+  const char* name;
+  int (*run)(const ProtocolSpec&, const Args&);
+  std::vector<FlagSpec> flags;  // accepted besides kGlobalFlags
+};
+
+const std::vector<Command>& commands() {
+  using K = FlagKind;
+  static const std::vector<Command> table = {
+      {"tables", cmd_tables, {{"--csv", K::kSwitch}}},
+      {"sql", cmd_sql, {}},
+      {"explain", cmd_explain, {{"--analyze", K::kSwitch}}},
+      {"invariants", cmd_invariants, {{"-v", K::kSwitch}}},
+      {"deadlock", cmd_deadlock, {}},
+      {"map", cmd_map, {}},
+      {"codegen", cmd_codegen, {{"--casez", K::kSwitch}}},
+      {"sim",
+       cmd_sim,
+       {{"--fig4", K::kSwitch},
+        {"--quads", K::kInt},
+        {"--addrs", K::kInt},
+        {"--capacity", K::kInt},
+        {"--txns", K::kInt},
+        {"--seed", K::kInt},
+        {"--latency", K::kInt},
+        {"--workload", K::kText, "a workload name"},
+        {"--no-dense", K::kSwitch}}},
+      {"reach",
+       cmd_reach,
+       {{"--quads", K::kInt},
+        {"--addrs", K::kInt},
+        {"--ops", K::kInt},
+        {"--max-states", K::kInt},
+        {"--first-deadlock", K::kSwitch},
+        {"--symmetry", K::kSwitch},
+        {"--classify", K::kSwitch},
+        {"--witness", K::kSwitch},
+        {"--sequential", K::kSwitch},
+        {"--only-ops", K::kText, "a comma-separated op list"},
+        {"--node-ops", K::kText, "a comma-separated budget list"}}},
+      {"lint", cmd_lint, {}},
+      {"serve",
+       cmd_serve,
+       {{"--sessions", K::kInt},
+        {"--iterations", K::kInt},
+        {"--no-cache", K::kSwitch},
+        {"--max-inflight", K::kInt},
+        {"--writer", K::kInt},
+        {"--script", K::kText, "a file path"},
+        {"-v", K::kSwitch}}},
+      {"flow", cmd_flow, {}},
+  };
+  return table;
+}
+
+/// Parses argv[2..] for `cmd`: a token starting with '-' must be a global
+/// flag or one of the command's own; a valued flag takes the next token,
+/// which must not itself start with '-'; an integer value must be a
+/// non-negative decimal that fits an int.  Returns false after printing
+/// the error.
+bool parse_args(const Command& cmd, int argc, char** argv, Args& args) {
+  for (int i = 2; i < argc; ++i) {
+    const std::string token = argv[i];
+    if (token.empty() || token[0] != '-') {
+      args.positional.push_back(token);
+      continue;
+    }
+    const FlagSpec* spec = nullptr;
+    for (const FlagSpec& f : kGlobalFlags) {
+      if (token == f.name) spec = &f;
+    }
+    for (const FlagSpec& f : cmd.flags) {
+      if (token == f.name) spec = &f;
+    }
+    if (spec == nullptr) {
+      std::cerr << "error: unknown flag " << token << " for ccsql "
+                << cmd.name << "\n";
+      return false;
+    }
+    std::string value;
+    if (spec->kind != FlagKind::kSwitch) {
+      if (i + 1 >= argc || argv[i + 1][0] == '-') {
+        std::cerr << "error: " << token << " needs " << spec->wants << "\n";
+        return false;
+      }
+      value = argv[++i];
+    }
+    if (spec->kind == FlagKind::kInt) {
+      char* end = nullptr;
+      errno = 0;
+      const long v = std::strtol(value.c_str(), &end, 10);
+      if (end == value.c_str() || *end != '\0' || errno != 0 || v < 0 ||
+          v > INT_MAX) {
+        std::cerr << "error: " << token << " needs " << spec->wants
+                  << ", got '" << value << "'\n";
+        return false;
+      }
+    }
+    args.flags[token] = value;
+  }
+  return true;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
+  const auto& table = commands();
+  const auto cmd_it =
+      std::find_if(table.begin(), table.end(), [&](const Command& c) {
+        return std::string(argv[1]) == c.name;
+      });
+  if (cmd_it == table.end()) return usage();
   Args args;
-  for (int i = 2; i < argc; ++i) {
-    if (argv[i][0] == '-') {
-      const std::string flag = argv[i];
-      args.flags.emplace_back(flag);
-      const bool string_valued = flag == "--trace" ||
-                                 flag == "--trace-format" ||
-                                 flag == "--script" ||
-                                 flag == "--only-ops" ||
-                                 flag == "--node-ops" ||
-                                 flag == "--workload";
-      if (i + 1 < argc && argv[i + 1][0] != '-') {
-        if (string_valued) {
-          args.flags.emplace_back(argv[++i]);
-          continue;
-        }
-        // A numeric flag value follows.
-        char* end = nullptr;
-        (void)std::strtol(argv[i + 1], &end, 10);
-        if (end != argv[i + 1] && *end == '\0') {
-          args.flags.emplace_back(argv[++i]);
-        }
-      }
-    } else {
-      args.positional.emplace_back(argv[i]);
-    }
-  }
+  if (!parse_args(*cmd_it, argc, argv, args)) return 2;
 
-  const std::string cmd = argv[1];
   // Flushes and closes the trace sink however main unwinds — error returns,
   // thrown exceptions — so JSONL/Chrome traces are never truncated
   // mid-event.  finish() is idempotent: the explicit call below makes the
@@ -539,7 +697,10 @@ int main(int argc, char** argv) {
   int rc = 1;
   try {
     rc = configure_observability(args);
-    if (rc == 0) rc = dispatch(cmd, args);
+    if (rc == 0) {
+      auto spec = ccsql::asura::make_asura();
+      rc = cmd_it->run(*spec, args);
+    }
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     rc = 1;

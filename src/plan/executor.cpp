@@ -201,53 +201,36 @@ struct Executor {
   }
 
   /// Rows of `src` passing `pred`, in table order, as a table over `schema`.
-  /// Parallel when go_parallel(): each morsel collects its hits, morsels
-  /// concatenate in order — identical output to the serial scan.  With the
-  /// bytecode engine (the default) each morsel/batch evaluates over a
-  /// selection vector; --no-bytecode keeps the interpreted row loop.
+  /// Parallel when go_parallel(): each morsel (one batch) collects its
+  /// hits, morsels concatenate in order — identical output to the serial
+  /// scan.
   Table filter(const Table& src, const SchemaPtr& schema,
                const vec::RowFilter& pred, std::size_t limit,
                std::size_t& visited, OpStats& stats) {
     const std::size_t n = src.row_count();
     const std::size_t pred_cols = pred.columns_read(src.column_count());
+    const std::vector<const Value*> cols = src.column_ptrs();
+    const vec::RowFilter* const chain[] = {&pred};
     bc::Sel sel;
     if (go_parallel(limit, n)) {
       const std::size_t morsels = (n + kMorselGrain - 1) / kMorselGrain;
       stats.morsels += morsels;
+      stats.batches += morsels;
       std::vector<bc::Sel> hits(morsels);
-      if (pred.vectorized()) {
-        // One morsel = one vectorized batch (kMorselGrain == kBatchRows).
-        stats.batches += morsels;
-        core::Pool::global().parallel_for(
-            n, kMorselGrain, ctx.jobs,
-            [&](std::size_t begin, std::size_t end, std::size_t morsel) {
-              pred.filter_range(src, begin, end, kNoLimit, hits[morsel]);
-            });
-      } else {
-        core::Pool::global().parallel_for(
-            n, kMorselGrain, ctx.jobs,
-            [&](std::size_t begin, std::size_t end, std::size_t morsel) {
-              auto& h = hits[morsel];
-              for (std::size_t i = begin; i < end; ++i) {
-                if (pred.eval(src.row(i))) {
-                  h.push_back(static_cast<std::uint32_t>(i));
-                }
-              }
-            });
-      }
+      core::Pool::global().parallel_for(
+          n, kMorselGrain, ctx.jobs,
+          [&](std::size_t begin, std::size_t end, std::size_t morsel) {
+            vec::filter_rows(chain, cols, nullptr, begin, end, kNoLimit,
+                             hits[morsel]);
+          });
       std::size_t total = 0;
       for (const auto& h : hits) total += h.size();
       sel.reserve(total);
       for (const auto& h : hits) sel.insert(sel.end(), h.begin(), h.end());
       visited = n;
-    } else if (pred.vectorized()) {
-      visited = pred.filter_range(src, 0, n, limit, sel);
-      stats.batches += (visited + vec::kBatchRows - 1) / vec::kBatchRows;
     } else {
-      for (std::size_t i = 0; i < n && sel.size() < limit; ++i) {
-        ++visited;
-        if (pred.eval(src.row(i))) sel.push_back(static_cast<std::uint32_t>(i));
-      }
+      visited = vec::filter_rows(chain, cols, nullptr, 0, n, limit, sel);
+      stats.batches += (visited + vec::kBatchRows - 1) / vec::kBatchRows;
     }
     // Predicate pass reads only the referenced columns; the output gather
     // reads and writes every cell of the passing rows.
@@ -287,19 +270,18 @@ struct Executor {
       bc::Sel hits;
       auto it = index.find(Table::index_key(lookup.key_values));
       if (it != index.end()) {
-        for (std::size_t i : it->second) {
-          if (hits.size() >= limit) break;
-          ++visited;
-          if (pred.eval(base.row(i))) {
-            hits.push_back(static_cast<std::uint32_t>(i));
-          }
-        }
+        const vec::RowFilter* const chain[] = {&pred};
+        visited = vec::filter_rows(chain, base.column_ptrs(),
+                                   it->second.data(), 0, it->second.size(),
+                                   limit, hits);
       }
       if (ctx.record) {
         lookup.actual_rows = visited;
         node.stats.rows_in += visited;
+        node.stats.batches +=
+            (visited + vec::kBatchRows - 1) / vec::kBatchRows;
         node.stats.bytes_touched +=
-            scan_bytes(visited, base.column_count()) +
+            scan_bytes(visited, pred.columns_read(base.column_count())) +
             2 * scan_bytes(hits.size(), base.column_count());
       }
       CCSQL_COUNT("query.rows_scanned", visited);
@@ -343,25 +325,19 @@ struct Executor {
     if (ctx.record) {
       node.stats.morsels += morsels;
       node.stats.rows_in += n;
-      if (pred.vectorized()) node.stats.batches += morsels;
+      node.stats.batches += morsels;
       node.stats.bytes_touched +=
           scan_bytes(n, pred.columns_read(base.column_count()));
     }
+    const std::vector<const Value*> cols = base.column_ptrs();
+    const vec::RowFilter* const chain[] = {&pred};
     std::vector<std::size_t> counts(morsels, 0);
     core::Pool::global().parallel_for(
         n, kMorselGrain, ctx.jobs,
         [&](std::size_t begin, std::size_t end, std::size_t morsel) {
-          if (pred.vectorized()) {
-            bc::Sel hits;
-            pred.filter_range(base, begin, end, kNoLimit, hits);
-            counts[morsel] = hits.size();
-            return;
-          }
-          std::size_t c = 0;
-          for (std::size_t i = begin; i < end; ++i) {
-            if (pred.eval(base.row(i))) ++c;
-          }
-          counts[morsel] = c;
+          bc::Sel hits;
+          vec::filter_rows(chain, cols, nullptr, begin, end, kNoLimit, hits);
+          counts[morsel] = hits.size();
         });
     total = 0;
     for (std::size_t c : counts) total += c;

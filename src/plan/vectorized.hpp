@@ -3,16 +3,15 @@
 // Vectorized batch execution for the plan operators (DESIGN.md section 10).
 //
 // RowFilter is the executor's one predicate object: it compiles a resolved
-// Expr into whichever engine is active — the bytecode batch evaluator
-// (default) or the interpreted CompiledExpr walk (--no-bytecode) — and
-// exposes both a scalar row test and a batch filter over row-index ranges.
+// Expr into a bytecode program and filters row-index ranges or selection
+// vectors with it.
 //
 // The batch path walks the table in batches of kBatchRows rows, seeds a
 // dense selection vector per batch, and lets the bytecode program refine it
 // (bc::Program::eval_batch).  Row-index output keeps table order, so the
-// selection a batch produces is byte-identical to the serial scalar scan —
+// selection a batch produces is byte-identical to a row-at-a-time scan —
 // including under a row budget, where the filter stops at exactly the row
-// that fills the limit, like the scalar loop does.
+// that fills the limit.
 //
 // Morsels and batches share the same 1024-row grain: a parallel morsel is
 // one batch, so the parallel and serial paths see identical batch
@@ -35,43 +34,41 @@ inline constexpr std::size_t kBatchRows = 1024;
 
 class RowFilter {
  public:
-  RowFilter() = default;
-
   /// Compiles `expr` for rows of `row_schema` (identifier-hood from
-  /// `full_schema`) into the active engine.
+  /// `full_schema`).
   RowFilter(const Expr& expr, const Schema& row_schema,
-            const Schema& full_schema, const FunctionRegistry* functions);
+            const Schema& full_schema, const FunctionRegistry* functions)
+      : prog_(compile_bytecode(expr, row_schema, full_schema, functions)) {}
 
-  /// True when the bytecode batch engine is active for this filter.
-  [[nodiscard]] bool vectorized() const noexcept {
-    return static_cast<bool>(prog_);
-  }
-
-  /// Scalar row test (either engine).
-  [[nodiscard]] bool eval(RowView row) const {
-    return prog_ ? prog_.eval(row) : interp_.eval(row);
-  }
-
-  /// Distinct columns this predicate reads per row — the bytes-touched
-  /// basis for EXPLAIN ANALYZE.  The interpreted walk materialises whole
-  /// rows, so it reports the full `width`.
+  /// Distinct columns this predicate reads per row, at most `width` — the
+  /// bytes-touched basis for EXPLAIN ANALYZE.
   [[nodiscard]] std::size_t columns_read(std::size_t width) const {
-    return prog_ ? std::min(prog_.columns_read(), width) : width;
+    return std::min(prog_.columns_read(), width);
   }
-
-  /// Batch-filters rows [begin, end) of `src`, appending passing row
-  /// indices to `sel` in ascending order, stopping once `limit` indices
-  /// have been appended in total across the call.  Returns the number of
-  /// rows visited — under a limit, exactly the index distance up to and
-  /// including the row that filled it, matching the scalar loop's count.
-  /// Requires vectorized().
-  std::size_t filter_range(const Table& src, std::size_t begin,
-                           std::size_t end, std::size_t limit,
-                           bc::Sel& sel) const;
 
  private:
-  bc::Program prog_;     // bytecode engine (empty when interpreting)
-  CompiledExpr interp_;  // interpreted oracle engine
+  friend std::size_t filter_rows(std::span<const RowFilter* const> chain,
+                                 std::span<const Value* const> cols,
+                                 const std::size_t* rows, std::size_t begin,
+                                 std::size_t end, std::size_t limit,
+                                 bc::Sel& out);
+
+  bc::Program prog_;
 };
+
+/// Filters rows of one table through the conjunctive chain `chain` (non-
+/// empty, innermost filter first, all compiled against that table's
+/// schema), kBatchRows positions at a time.  Position p in [begin, end)
+/// names row rows[p], or row p itself when `rows` is null; `rows` must be
+/// ascending (an index bucket).  `cols` holds the table's column base
+/// pointers (Table::column_ptrs).  Appends the surviving rows to `out` in
+/// order, stopping once `limit` have been appended, and returns the
+/// positions visited: up to and including the one that filled `limit`,
+/// else end - begin.  Selection buffers are thread-local, so a warm call
+/// allocates nothing beyond what `out` grows by.
+std::size_t filter_rows(std::span<const RowFilter* const> chain,
+                        std::span<const Value* const> cols,
+                        const std::size_t* rows, std::size_t begin,
+                        std::size_t end, std::size_t limit, bc::Sel& out);
 
 }  // namespace ccsql::plan::vec

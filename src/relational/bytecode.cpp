@@ -1,27 +1,13 @@
 #include "relational/bytecode.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <iterator>
-#include <memory>
-#include <string_view>
 
 #include "obs/obs.hpp"
 #include "relational/error.hpp"
 
 namespace ccsql {
 namespace {
-
-std::atomic<bool>& bytecode_flag() {
-  static std::atomic<bool> flag = [] {
-    const char* env = std::getenv("CCSQL_NO_BYTECODE");
-    const bool off =
-        env != nullptr && env[0] != '\0' && std::string_view(env) != "0";
-    return !off;
-  }();
-  return flag;
-}
 
 /// Extends `out` by `extra` slots and returns a pointer to the first new
 /// slot.  The batch kernels write unconditionally through this pointer and
@@ -84,14 +70,6 @@ void append_iota(std::uint32_t begin, std::uint32_t end, bc::Sel& out) {
 }
 
 }  // namespace
-
-bool bytecode_enabled() {
-  return bytecode_flag().load(std::memory_order_relaxed);
-}
-
-void set_bytecode_enabled(bool enabled) {
-  bytecode_flag().store(enabled, std::memory_order_relaxed);
-}
 
 namespace bc {
 
@@ -424,84 +402,6 @@ struct Program::NodeEval {
     shrink_to(out, dst);
   }
 };
-
-bool Program::eval(RowView row) const {
-  // Postfix pays off here: children precede parents and each subtree leaves
-  // exactly one value, so one linear pass over insns_ with a bool stack
-  // evaluates the whole program — no recursion, no child-root chasing.
-  // (Unlike the interpreted walk this does not short-circuit; predicates
-  // are pure, so only timing can differ, never the result.)
-  if (insns_.empty()) return false;  // uncompiled program
-  bool inline_stack[64];
-  std::unique_ptr<bool[]> heap_stack;
-  bool* stack = inline_stack;
-  if (insns_.size() > 64) {
-    heap_stack = std::make_unique<bool[]>(insns_.size());
-    stack = heap_stack.get();
-  }
-  std::size_t sp = 0;
-  auto call = [&](const Insn& in) {
-    Value inline_args[8];
-    std::vector<Value> heap_args;
-    Value* args = inline_args;
-    if (in.argc > 8) {
-      heap_args.resize(in.argc);
-      args = heap_args.data();
-    }
-    for (std::uint32_t k = 0; k < in.argc; ++k) {
-      args[k] = operands_[in.args + k].get(row);
-    }
-    return (*in.fn)(std::span<const Value>(args, in.argc));
-  };
-  for (const Insn& in : insns_) {
-    switch (in.op) {
-      case Op::kConst:
-        stack[sp++] = in.imm;
-        break;
-      case Op::kCmp:
-        stack[sp++] = (operands_[in.a].get(row) == operands_[in.b].get(row)) !=
-                      in.negated;
-        break;
-      case Op::kIn: {
-        const Value v = operands_[in.a].get(row);
-        bool found = false;
-        for (std::uint32_t k = 0; k < in.argc; ++k) {
-          found |= operands_[in.args + k].get(row) == v;
-        }
-        stack[sp++] = found != in.negated;
-        break;
-      }
-      case Op::kCall:
-        stack[sp++] = call(in);
-        break;
-      case Op::kAnd: {
-        bool v = true;
-        for (std::uint32_t k = 0; k < in.argc; ++k) v &= stack[sp - in.argc + k];
-        sp -= in.argc;
-        stack[sp++] = v;
-        break;
-      }
-      case Op::kOr: {
-        bool v = false;
-        for (std::uint32_t k = 0; k < in.argc; ++k) v |= stack[sp - in.argc + k];
-        sp -= in.argc;
-        stack[sp++] = v;
-        break;
-      }
-      case Op::kNot:
-        stack[sp - 1] = !stack[sp - 1];
-        break;
-      case Op::kTernary: {
-        const bool else_v = stack[--sp];
-        const bool then_v = stack[--sp];
-        const bool cond_v = stack[--sp];
-        stack[sp++] = cond_v ? then_v : else_v;
-        break;
-      }
-    }
-  }
-  return stack[0];
-}
 
 void Program::eval_batch(std::span<const Value* const> cols,
                          std::span<const std::uint32_t> sel, Sel& out,

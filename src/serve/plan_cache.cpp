@@ -72,6 +72,7 @@ std::optional<CachedStatement::Unit::FastEmpty> make_fast_empty(
   } else {
     return std::nullopt;
   }
+  out.cols = out.base->column_ptrs();
   if (n->kind == Kind::kIndexLookup) {
     std::vector<std::size_t> cols;
     cols.reserve(n->columns.size());
@@ -257,12 +258,10 @@ bool unit_is_empty(const CachedStatement& cs, std::size_t index) {
   const CachedStatement::Unit& unit = cs.units.at(index);
   if (!unit.fast) return run_unit(cs, index, 1).row_count() == 0;
   const CachedStatement::Unit::FastEmpty& f = *unit.fast;
-  auto passes = [&f](RowView row) {
-    for (const plan::vec::RowFilter* filter : f.filters) {
-      if (!filter->eval(row)) return false;
-    }
-    return true;
-  };
+  // Receives the first surviving row; thread-local so a warm probe
+  // allocates nothing.
+  thread_local bc::Sel hits;
+  hits.clear();
   std::size_t visited = 0;
   bool empty = true;
   if (f.index != nullptr) {
@@ -270,26 +269,17 @@ bool unit_is_empty(const CachedStatement& cs, std::size_t index) {
       if (f.filters.empty()) {
         empty = it->second.empty();
       } else {
-        for (const std::size_t i : it->second) {
-          ++visited;
-          if (passes(f.base->row(i))) {
-            empty = false;
-            break;
-          }
-        }
+        visited = plan::vec::filter_rows(f.filters, f.cols, it->second.data(),
+                                         0, it->second.size(), 1, hits);
+        empty = hits.empty();
       }
     }
   } else if (f.filters.empty()) {
     empty = f.base->row_count() == 0;
   } else {
-    const std::size_t n = f.base->row_count();
-    for (std::size_t i = 0; i < n; ++i) {
-      ++visited;
-      if (passes(f.base->row(i))) {
-        empty = false;
-        break;
-      }
-    }
+    visited = plan::vec::filter_rows(f.filters, f.cols, nullptr, 0,
+                                     f.base->row_count(), 1, hits);
+    empty = hits.empty();
   }
   CCSQL_COUNT("query.rows_scanned", visited);
   return empty;

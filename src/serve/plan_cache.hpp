@@ -63,13 +63,15 @@ struct CachedStatement {
     /// common exists-mode shapes (Limit/Project/Distinct wrappers over a
     /// filtered scan or index lookup).  Emptiness is invariant under those
     /// wrappers, so the probe inspects base rows directly: find the index
-    /// bucket (or scan), evaluate the pre-compiled filter, stop at the
-    /// first passing row.  All pointers target the pinned snapshot catalog
-    /// (tables, their index caches, compiled filters), so they live as
-    /// long as the entry.  Unset: probe shapes the walk doesn't cover
-    /// (unions, joins) fall back to the generic executor.
+    /// bucket (or scan), run the pre-compiled filter chain over it batch by
+    /// batch, stop at the first batch where a row survives.  All pointers
+    /// target the pinned snapshot catalog (tables, their column storage
+    /// and index caches, compiled filters), so they live as long as the
+    /// entry.  Unset: probe shapes the walk doesn't cover (unions, joins)
+    /// fall back to the generic executor.
     struct FastEmpty {
       const Table* base = nullptr;
+      std::vector<const Value*> cols;          // base->column_ptrs()
       const Table::IndexMap* index = nullptr;  // null: scan all base rows
       TupleKey probe;                          // index bucket key
       /// Conjunctive predicate chain (stacked kSelects), innermost first;

@@ -691,7 +691,7 @@ bool Machine::step_ioc(QuadId q, const Network::QueueRef& ref,
 }
 
 bool Machine::deliver(QuadId q, const Network::QueueRef& ref,
-                      const SimMessage& msg) {
+                      SimMessage msg) {
   const Sym& sy = sym();
   const Value role_src = msg.role_src;
   const Value role_dst = msg.role_dst;

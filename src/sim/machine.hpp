@@ -278,8 +278,10 @@ class Machine {
   bool drain_outbox(QuadId q);
   bool inject(QuadId q);
 
-  /// Routes a queue-head message to its consuming controller.
-  bool deliver(QuadId q, const Network::QueueRef& ref, const SimMessage& msg);
+  /// Routes a queue-head message to its consuming controller.  Takes the
+  /// message by value: each step pops it off the queue (consume) before it
+  /// is done reading it.
+  bool deliver(QuadId q, const Network::QueueRef& ref, SimMessage msg);
 
   /// net_.send plus counter/trace bookkeeping.
   void post(const SimMessage& msg, QuadId home);

@@ -221,4 +221,23 @@ TEST(Cli, BadTraceFormatIsRejected) {
   EXPECT_NE(r.output.find("--trace-format must be"), std::string::npos);
 }
 
+// Each command accepts only the global flags and its own: an unknown flag
+// (including the retired engine switches) exits 2 before any work runs.
+TEST(Cli, UnknownFlagsAreRejected) {
+  for (const char* args : {"flow --bogus", "invariants --no-planner",
+                           "sim --no-bytecode", "tables --analyze"}) {
+    RunResult r = run(args);
+    EXPECT_EQ(r.exit_code, 2) << args;
+    EXPECT_NE(r.output.find("unknown flag"), std::string::npos) << args;
+  }
+}
+
+TEST(Cli, MalformedNumbersAreRejected) {
+  for (const char* args :
+       {"serve --sessions abc", "serve --iterations 2x", "serve --sessions 0",
+        "serve --jobs 0", "sim --quads -3", "reach --ops"}) {
+    EXPECT_EQ(run(args).exit_code, 2) << args;
+  }
+}
+
 }  // namespace

@@ -1,9 +1,9 @@
 // Property tests for the bytecode engine's differential contract: for any
-// expression the interpreter (CompiledExpr), the scalar bytecode engine
-// (Program::eval), and the vectorized batch engine (Program::eval_batch)
-// must select exactly the same rows, and whole queries must come out
-// byte-identical with the engine on or off, at any jobs value.  Expressions
-// and tables are random but seeded, so failures replay.
+// expression the interpreter (CompiledExpr) and the vectorized batch engine
+// (Program::eval_batch) must select exactly the same rows, and whole
+// queries must come out byte-identical to the naive reference engine (which
+// filters with the interpreter), at any jobs value.  Expressions and tables
+// are random but seeded, so failures replay.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +15,7 @@
 #include "relational/database.hpp"
 #include "relational/expr.hpp"
 #include "relational/format.hpp"
+#include "naive_oracle.hpp"
 
 namespace ccsql {
 namespace {
@@ -80,7 +81,7 @@ Table random_table(Rng& rng, std::size_t rows) {
   return t;
 }
 
-// The core differential property: three engines, one selection.
+// The core differential property: two engines, one selection.
 TEST(BytecodeProperty, EnginesSelectIdenticalRows) {
   for (unsigned seed : {1u, 2u, 3u, 4u, 5u}) {
     Rng rng(seed);
@@ -96,13 +97,6 @@ TEST(BytecodeProperty, EnginesSelectIdenticalRows) {
       for (std::uint32_t i = 0; i < t.row_count(); ++i) {
         if (interp.eval(t.row(i))) expected.push_back(i);
       }
-
-      bc::Sel scalar_hits;
-      for (std::uint32_t i = 0; i < t.row_count(); ++i) {
-        if (prog.eval(t.row(i))) scalar_hits.push_back(i);
-      }
-      EXPECT_EQ(scalar_hits, expected)
-          << "seed " << seed << " scalar: " << e.to_string();
 
       // Vectorized, batch-at-a-time like the executor drives it.
       bc::Sel batch_hits;
@@ -124,10 +118,9 @@ TEST(BytecodeProperty, EnginesSelectIdenticalRows) {
   }
 }
 
-// End to end: the engine switch and the jobs knob must both be invisible in
-// query results.
+// End to end: planned batch execution must match the interpreted naive
+// engine byte for byte, and the jobs knob must be invisible in results.
 TEST(BytecodeProperty, QueriesByteIdenticalAcrossEnginesAndJobs) {
-  const bool before = bytecode_enabled();
   for (unsigned seed : {11u, 29u}) {
     Rng rng(seed);
     Catalog cat;
@@ -137,27 +130,16 @@ TEST(BytecodeProperty, QueriesByteIdenticalAcrossEnginesAndJobs) {
       sqls.push_back("select * from T where " +
                      random_expr(rng, 2).to_string());
     }
-
-    std::vector<std::string> reference;
-    for (int engine = 0; engine < 2; ++engine) {
-      set_bytecode_enabled(engine == 1);
-      for (int jobs : {1, 4}) {
-        Database db{Catalog(cat)};
-        db.set_planner(true).set_jobs(jobs);
-        for (std::size_t q = 0; q < sqls.size(); ++q) {
-          const std::string got = to_csv(db.query(sqls[q]).rows);
-          if (reference.size() <= q) {
-            reference.push_back(got);
-          } else {
-            EXPECT_EQ(got, reference[q])
-                << "seed " << seed << " engine " << engine << " jobs " << jobs
-                << ": " << sqls[q];
-          }
-        }
+    for (int jobs : {1, 4}) {
+      Database db{Catalog(cat)};
+      db.set_jobs(jobs);
+      for (const std::string& sql : sqls) {
+        EXPECT_EQ(to_csv(db.query(sql).rows),
+                  to_csv(oracle::run_naive(cat, parse_select(sql))))
+            << "seed " << seed << " jobs " << jobs << ": " << sql;
       }
     }
   }
-  set_bytecode_enabled(before);
 }
 
 }  // namespace

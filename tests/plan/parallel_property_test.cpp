@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "naive_oracle.hpp"
 #include "relational/database.hpp"
 #include "relational/format.hpp"
 
@@ -68,9 +69,9 @@ const std::vector<std::string> kQueries = {
 TEST(ParallelProperty, QueriesAreByteIdenticalAcrossJobs) {
   for (unsigned seed : {1u, 7u, 42u}) {
     Database serial = seeded_db(seed);
-    serial.set_planner(true).set_jobs(1);
+    serial.set_jobs(1);
     Database wide = seeded_db(seed);
-    wide.set_planner(true).set_jobs(4);
+    wide.set_jobs(4);
     for (const auto& sql : kQueries) {
       EXPECT_EQ(to_csv(serial.query(sql).rows), to_csv(wide.query(sql).rows))
           << "seed " << seed << ": " << sql;
@@ -83,14 +84,12 @@ TEST(ParallelProperty, ParallelAgreesWithNaiveOracleOnScans) {
   // single-table statements are feasible at parallel-threshold sizes; the
   // joins get their oracle check below, on oracle-sized tables.
   Database wide = seeded_db(3);
-  wide.set_planner(true).set_jobs(4);
-  Database naive = seeded_db(3);
-  naive.set_planner(false);
+  wide.set_jobs(4);
   for (const auto& sql : kQueries) {
     if (sql.find(" y") != std::string::npos) continue;  // skip the joins
-    Table oracle = naive.query(sql).rows;
+    Table naive = oracle::run_naive(wide.catalog(), parse_select(sql));
     Table parallel = wide.query(sql).rows;
-    EXPECT_EQ(to_csv(parallel), to_csv(oracle)) << sql;
+    EXPECT_EQ(to_csv(parallel), to_csv(naive)) << sql;
   }
 }
 
@@ -100,12 +99,11 @@ TEST(ParallelProperty, JoinsAgreeWithNaiveOracleAtOracleScale) {
   cat.put("L", big_table(rng, {"k", "p", "q"}, 120));
   cat.put("R", big_table(rng, {"k", "r"}, 90));
   cat.put("S", big_table(rng, {"p", "s"}, 80));
-  Database naive = Database(cat);
-  naive.set_planner(false);
-  Database wide = Database(std::move(cat));
-  wide.set_planner(true).set_jobs(4);
+  Database wide = Database(cat);
+  wide.set_jobs(4);
   for (const auto& sql : kQueries) {
-    EXPECT_EQ(to_csv(wide.query(sql).rows), to_csv(naive.query(sql).rows))
+    EXPECT_EQ(to_csv(wide.query(sql).rows),
+              to_csv(oracle::run_naive(cat, parse_select(sql))))
         << sql;
   }
 }
@@ -129,9 +127,9 @@ TEST(ParallelProperty, CheckEmptyVerdictsMatchAcrossJobs) {
 TEST(ParallelProperty, UnionIsByteIdenticalAcrossJobs) {
   for (unsigned seed : {5u, 19u}) {
     Database serial = seeded_db(seed);
-    serial.set_planner(true).set_jobs(1);
+    serial.set_jobs(1);
     Database wide = seeded_db(seed);
-    wide.set_planner(true).set_jobs(4);
+    wide.set_jobs(4);
     const std::string sql =
         "select k from L where p = v0 union "
         "select k from R where r = v1 union "

@@ -10,6 +10,7 @@
 
 #include <string>
 
+#include "naive_oracle.hpp"
 #include "plan/explain.hpp"
 #include "plan/planner.hpp"
 #include "relational/query.hpp"
@@ -45,7 +46,7 @@ TEST(PlanDisabledTracing, PlannedStillMatchesNaive) {
   for (const char* q : queries) {
     SelectStmt stmt = parse_select(q);
     Table planned = plan::run_select(db, stmt);
-    Table naive = db.run_naive(stmt);
+    Table naive = oracle::run_naive(db, stmt);
     EXPECT_EQ(planned.row_count(), naive.row_count()) << q;
     EXPECT_TRUE(planned.set_equal(naive)) << q;
   }

@@ -1,5 +1,5 @@
 // Property tests: the planned executor must agree with the naive reference
-// executor (Catalog::run_naive) on randomized tables and predicates, for
+// executor (oracle::run_naive) on randomized tables and predicates, for
 // every fixed seed.  Any divergence is a planner bug by definition — the
 // naive path is the oracle.
 
@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "naive_oracle.hpp"
 #include "plan/planner.hpp"
 #include "relational/query.hpp"
 
@@ -145,7 +146,7 @@ std::string random_select(Rng& rng, const std::string& from,
 void expect_planned_matches_naive(const Catalog& db, const std::string& sql) {
   SelectStmt stmt = parse_select(sql);
   Table planned = plan::run_select(db, stmt);
-  Table naive = db.run_naive(stmt);
+  Table naive = oracle::run_naive(db, stmt);
   EXPECT_EQ(planned.row_count(), naive.row_count()) << sql;
   EXPECT_TRUE(planned.set_equal(naive)) << sql;
   EXPECT_EQ(plan::is_empty(db, stmt), naive.row_count() == 0) << sql;

@@ -2,17 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "naive_oracle.hpp"
+#include "obs/obs.hpp"
 #include "plan/explain.hpp"
 #include "plan/ir.hpp"
 #include "plan/optimizer.hpp"
 #include "protocol/asura/asura.hpp"
 #include "relational/database.hpp"
+#include "relational/format.hpp"
 #include "relational/query.hpp"
 
 namespace ccsql {
@@ -146,23 +150,10 @@ TEST(Planner, PlannedMatchesNaiveOnRepresentativeQueries) {
   for (const char* q : queries) {
     SelectStmt stmt = parse_select(q);
     Table planned = plan::run_select(db, stmt);
-    Table naive = db.run_naive(stmt);
+    Table naive = oracle::run_naive(db, stmt);
     EXPECT_EQ(planned.row_count(), naive.row_count()) << q;
     EXPECT_TRUE(planned.set_equal(naive)) << q;
   }
-}
-
-TEST(Planner, GlobalToggleRoutesCatalogRun) {
-  Catalog db = make_catalog();
-  SelectStmt stmt =
-      parse_select("select a.memmsg from D a, M b where a.memmsg = b.inmsg");
-  ASSERT_TRUE(plan::planner_enabled());
-  Table planned = db.run(stmt);
-  plan::set_planner_enabled(false);
-  Table naive = db.run(stmt);
-  plan::set_planner_enabled(true);
-  EXPECT_TRUE(planned.set_equal(naive));
-  EXPECT_EQ(planned.row_count(), naive.row_count());
 }
 
 TEST(Planner, CheckEmptyAgreesWithNaive) {
@@ -174,12 +165,58 @@ TEST(Planner, CheckEmptyAgreesWithNaive) {
       "[select dirst from D where dirst = I] = empty",
   };
   for (const char* inv : invariants) {
-    const bool planned = db.check_empty(inv);
-    plan::set_planner_enabled(false);
-    const bool naive = db.check_empty(inv);
-    plan::set_planner_enabled(true);
-    EXPECT_EQ(planned, naive) << inv;
+    EXPECT_EQ(db.check_empty(inv), oracle::check_empty_naive(db, inv))
+        << inv;
   }
+}
+
+// The fused Select-over-IndexLookup path filters the index bucket in
+// batches and, under a row budget, stops at exactly the row that fills it:
+// the rows are the budget's prefix of the full result and rows_scanned is
+// the bucket position of that row (the whole bucket when the budget is
+// never filled).
+TEST(Planner, FusedIndexLookupHonoursRowBudget) {
+  Catalog db;
+  Table p(Schema::of({"k", "a"}));
+  for (int i = 0; i < 20; ++i) {
+    // Bucket x is rows 0, 2, 4, ...; hits at bucket positions 3, 6 and 8.
+    const bool hit = i == 4 || i == 10 || i == 14;
+    p.append({V(i % 2 == 0 ? "x" : "y"), V(hit ? "hit" : "a0")});
+  }
+  db.put("P", std::move(p));
+  const SelectStmt stmt =
+      parse_select("select * from P where k = x and a in (hit)");
+  const Table full = oracle::run_naive(db, stmt);
+  ASSERT_EQ(full.row_count(), 3u);
+
+  obs::Tracer& tracer = obs::Tracer::global();
+  const bool was_on = tracer.metrics_enabled();
+  tracer.enable_metrics(true);
+  const std::pair<std::size_t, std::uint64_t> cases[] = {
+      {1, 3}, {2, 6}, {3, 8}, {4, 10}};
+  for (const auto& [budget, scanned] : cases) {
+    PlanPtr root = plan::plan_select(db, stmt);
+    ASSERT_EQ(root->kind, PlanNode::Kind::kSelect);
+    ASSERT_EQ(root->child().kind, PlanNode::Kind::kIndexLookup);
+    plan::ExecContext ctx;
+    ctx.catalog = &db;
+    ctx.functions = &db.functions();
+    const std::uint64_t before =
+        tracer.metrics().counter("query.rows_scanned");
+    const Table got = plan::execute(*root, ctx, budget);
+    const std::uint64_t after =
+        tracer.metrics().counter("query.rows_scanned");
+    EXPECT_EQ(to_csv(got), to_csv(full.head(std::min<std::size_t>(budget, 3))))
+        << "budget " << budget;
+#ifndef CCSQL_TRACING_DISABLED
+    EXPECT_EQ(after - before, scanned) << "budget " << budget;
+#else
+    (void)scanned;
+    (void)before;
+    (void)after;
+#endif
+  }
+  tracer.enable_metrics(was_on);
 }
 
 TEST(CrossSelect, MatchesNaiveCrossPlusFilter) {

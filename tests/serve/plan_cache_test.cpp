@@ -5,6 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "obs/obs.hpp"
+#include "plan/planner.hpp"
 #include "protocol/asura/asura.hpp"
 #include "relational/error.hpp"
 #include "relational/format.hpp"
@@ -157,6 +163,132 @@ TEST(FastEmpty, FindsInjectedViolation) {
       build_statement(snap, {parse_select(sql)}, /*exists_mode=*/true);
   EXPECT_FALSE(unit_is_empty(*cs, 0));
   EXPECT_EQ(unit_is_empty(*cs, 0), snap.check_empty(sql));
+}
+
+// ---- FastEmpty batch probes ---------------------------------------------
+
+#ifdef CCSQL_TRACING_DISABLED
+constexpr bool kCounters = false;
+#else
+constexpr bool kCounters = true;
+#endif
+
+/// query.rows_scanned added while `fn` runs, with metrics on for the call.
+template <typename F>
+std::uint64_t rows_scanned_by(F&& fn) {
+  obs::Tracer& tracer = obs::Tracer::global();
+  const bool was_on = tracer.metrics_enabled();
+  tracer.enable_metrics(true);
+  const std::uint64_t before = tracer.metrics().counter("query.rows_scanned");
+  fn();
+  const std::uint64_t after = tracer.metrics().counter("query.rows_scanned");
+  tracer.enable_metrics(was_on);
+  return after - before;
+}
+
+struct Override {
+  std::size_t row;
+  const char* a;
+  const char* b;
+};
+
+/// P(k, a, b) over `n` rows: k alternates x/y (bucket x is the even rows),
+/// a = a0 and b = b0 except on the overridden rows.
+Database probe_db(std::size_t n, const std::vector<Override>& overrides) {
+  Table p(Schema::of({"k", "a", "b"}));
+  for (std::size_t i = 0; i < n; ++i) {
+    const char* a = "a0";
+    const char* b = "b0";
+    for (const Override& o : overrides) {
+      if (o.row == i) {
+        a = o.a;
+        b = o.b;
+      }
+    }
+    p.append({V(i % 2 == 0 ? "x" : "y"), V(a), V(b)});
+  }
+  Catalog cat;
+  cat.put("P", std::move(p));
+  return Database(std::move(cat));
+}
+
+struct ProbeOutcome {
+  bool empty = false;
+  std::uint64_t scanned = 0;
+};
+
+/// Builds the exists-mode statement, asserts it takes the FastEmpty probe
+/// with at least `min_filters` stacked filters (over an index bucket when
+/// `bucket`), checks the verdict against the planner's exists-mode
+/// run_select, and reports the probe's verdict and rows scanned.
+ProbeOutcome probe(const Database& db, const char* sql, bool bucket,
+                   std::size_t min_filters) {
+  Snapshot snap = db.snapshot();
+  CachedStatementPtr cs =
+      build_statement(snap, {parse_select(sql)}, /*exists_mode=*/true);
+  ProbeOutcome out;
+  const auto& fast = cs->units.at(0).fast;
+  EXPECT_TRUE(fast.has_value()) << sql;
+  if (!fast) return out;
+  EXPECT_EQ(fast->index != nullptr, bucket) << sql;
+  EXPECT_GE(fast->filters.size(), min_filters) << sql;
+  out.scanned = rows_scanned_by([&] { out.empty = unit_is_empty(*cs, 0); });
+  plan::PlannerOptions opts;
+  opts.exists_only = true;
+  EXPECT_EQ(out.empty,
+            plan::run_select(snap.catalog(), parse_select(sql), opts)
+                    .row_count() == 0)
+      << sql;
+  EXPECT_EQ(out.empty, snap.query(sql).row_count() == 0) << sql;
+  return out;
+}
+
+TEST(FastEmpty, BucketProbeCountsUpToFirstPassingRow) {
+  // Bucket x is rows 0, 2, 4, ...; the only hit, row 6, is 4th in it.
+  // (Equalities all fold into the index key, so the filters use IN/NOT.)
+  const Database db = probe_db(20, {{6, "hit", "b0"}});
+  const ProbeOutcome found =
+      probe(db, "select a from P where k = x and a in (hit)", true, 1);
+  EXPECT_FALSE(found.empty);
+  if (kCounters) EXPECT_EQ(found.scanned, 4u);
+  const ProbeOutcome none =
+      probe(db, "select a from P where k = x and a in (miss)", true, 1);
+  EXPECT_TRUE(none.empty);
+  if (kCounters) EXPECT_EQ(none.scanned, 10u);  // the whole bucket
+}
+
+TEST(FastEmpty, StackedSelectChainOverBucket) {
+  // Row 4 (bucket position 3) passes the first filter only; row 12
+  // (position 7) passes both.
+  const Database db =
+      probe_db(20, {{4, "hit", "no"}, {12, "hit", "yes"}});
+  const ProbeOutcome found = probe(
+      db, "select a from P where k = x and a in (hit) and not b = no", true,
+      2);
+  EXPECT_FALSE(found.empty);
+  if (kCounters) EXPECT_EQ(found.scanned, 7u);
+  const ProbeOutcome none = probe(
+      db, "select a from P where k = x and a in (hit) and not b = no and "
+          "not b = yes",
+      true, 2);
+  EXPECT_TRUE(none.empty);
+  if (kCounters) EXPECT_EQ(none.scanned, 10u);
+}
+
+TEST(FastEmpty, FullScanProbeCrossesBatches) {
+  // 3000 rows, three 1024-row batches: row 1500 passes the first filter
+  // only, row 2500 passes both.
+  const Database db =
+      probe_db(3000, {{1500, "z", "b0"}, {2500, "z", "w"}});
+  const ProbeOutcome found =
+      probe(db, "select a from P where not a = a0 and not b = b0", false, 2);
+  EXPECT_FALSE(found.empty);
+  if (kCounters) EXPECT_EQ(found.scanned, 2501u);
+  const ProbeOutcome none = probe(
+      db, "select a from P where not a = a0 and not b = b0 and not b = w",
+      false, 2);
+  EXPECT_TRUE(none.empty);
+  if (kCounters) EXPECT_EQ(none.scanned, 3000u);  // the whole table
 }
 
 TEST(RunUnit, MatchesDatabaseQueryResults) {

@@ -1,5 +1,6 @@
 // serve::Server: the cached-vs-fresh differential over the full ASURA
-// invariant suite (across jobs and bytecode settings), cache eviction and
+// invariant suite (across jobs, and against the naive reference engine),
+// cache eviction and
 // writer invalidation through the public API, prepared-statement execution,
 // admission gating, and the published stats.
 #include "serve/server.hpp"
@@ -13,8 +14,8 @@
 
 #include "core/pool.hpp"
 #include "obs/mem.hpp"
+#include "naive_oracle.hpp"
 #include "protocol/asura/asura.hpp"
-#include "relational/bytecode.hpp"
 #include "relational/format.hpp"
 
 namespace ccsql::serve {
@@ -33,39 +34,37 @@ std::vector<std::string> invariant_sqls() {
   return out;
 }
 
-/// Restores the process-wide bytecode toggle on scope exit.
-struct BytecodeGuard {
-  bool saved = bytecode_enabled();
-  ~BytecodeGuard() { set_bytecode_enabled(saved); }
-};
-
 // The acceptance differential: for every invariant query, the server's
-// cached answer must be byte-identical to a fresh Database evaluation —
-// under serial and parallel execution, with and without the bytecode
-// engine.  The second server pass answers from the cache (asserted via
-// stats), so this exercises the cached path, not just first compilation.
+// cached bytecode answer must equal a fresh Database evaluation and the
+// naive reference engine's (the interpreted walk) — under serial and
+// parallel execution.  The second server pass answers from the cache
+// (asserted via stats), so this exercises the cached path, not just first
+// compilation.
 TEST(Server, CachedMatchesFreshAcrossJobsAndBytecode) {
-  BytecodeGuard guard;
   const std::vector<std::string> sqls = invariant_sqls();
-  for (const bool bytecode : {true, false}) {
-    set_bytecode_enabled(bytecode);
-    for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
-      Database fresh = spec().database();
-      fresh.set_jobs(jobs);
-      ServerOptions opts;
-      opts.jobs_per_query = jobs;
-      Server server(spec().database(), opts);
-      for (int pass = 0; pass < 2; ++pass) {
-        for (const std::string& sql : sqls) {
-          EXPECT_EQ(server.check_empty(sql), fresh.check_empty(sql))
-              << "bytecode=" << bytecode << " jobs=" << jobs << " " << sql;
-        }
+  std::vector<bool> naive;
+  for (const std::string& sql : sqls) {
+    naive.push_back(
+        oracle::check_empty_naive(spec().database().catalog(), sql));
+  }
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+    Database fresh = spec().database();
+    fresh.set_jobs(jobs);
+    ServerOptions opts;
+    opts.jobs_per_query = jobs;
+    Server server(spec().database(), opts);
+    for (int pass = 0; pass < 2; ++pass) {
+      for (std::size_t i = 0; i < sqls.size(); ++i) {
+        const bool cached = server.check_empty(sqls[i]);
+        EXPECT_EQ(cached, fresh.check_empty(sqls[i]))
+            << "jobs=" << jobs << " " << sqls[i];
+        EXPECT_EQ(cached, naive[i]) << "jobs=" << jobs << " " << sqls[i];
       }
-      const ServerStats s = server.stats();
-      EXPECT_GE(s.cache.hits, sqls.size())
-          << "second pass should answer from the cache";
-      EXPECT_EQ(s.uncached_queries, 0u);
     }
+    const ServerStats s = server.stats();
+    EXPECT_GE(s.cache.hits, sqls.size())
+        << "second pass should answer from the cache";
+    EXPECT_EQ(s.uncached_queries, 0u);
   }
 }
 

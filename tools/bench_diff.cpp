@@ -9,10 +9,13 @@
 // higher is better) whose NEW value falls short of OLD by more than the
 // threshold.  Everything else — counts, bytes, percent, and the pool
 // busy/idle nanos (scheduler residency, not workload speed) — is compared
-// for information only.
+// for information only.  A gated (`bench.*` time or rate) metric present
+// in OLD but missing from NEW fails the comparison: dropping a gated
+// number takes an explicit baseline edit.
 //
 // Exit status: 0 clean, 1 regression found (suppressed by --report-only,
-// the CI bring-up mode) or unreadable input, 2 usage error.
+// the CI bring-up mode), gated metric missing, or unreadable input, 2 usage
+// error.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -129,20 +132,27 @@ int main(int argc, char** argv) {
   std::printf("  %-32s %14s %14s %9s\n", "metric", "old", "new", "delta");
 
   int regressions = 0;
+  int missing = 0;
   std::size_t only_old = 0;
   std::size_t only_new = 0;
   for (const auto& [name, oldm] : oldd.metrics) {
+    const bool bench = name.rfind("bench.", 0) == 0;
+    const bool timed = is_time_unit(oldm.unit) && bench;
+    const bool rate = is_rate_unit(oldm.unit) && bench;
     auto it = newd.metrics.find(name);
     if (it == newd.metrics.end()) {
-      ++only_old;
+      if (timed || rate) {
+        ++missing;
+        std::printf("  %-32s %12.0f %s %14s            MISSING\n",
+                    name.c_str(), oldm.value, oldm.unit.c_str(), "-");
+      } else {
+        ++only_old;
+      }
       continue;
     }
     const Metric& newm = it->second;
     const double delta_pct =
         oldm.value > 0 ? (newm.value - oldm.value) / oldm.value * 100.0 : 0.0;
-    const bool bench = name.rfind("bench.", 0) == 0;
-    const bool timed = is_time_unit(oldm.unit) && bench;
-    const bool rate = is_rate_unit(oldm.unit) && bench;
     const bool regressed =
         (timed && oldm.value > 0 &&
          newm.value > oldm.value * (1.0 + threshold_pct / 100.0)) ||
@@ -163,6 +173,13 @@ int main(int argc, char** argv) {
                 only_new);
   }
 
+  if (missing > 0) {
+    std::printf("bench_diff: %d gated metric%s missing from %s (edit the "
+                "baseline to drop %s)\n",
+                missing, missing == 1 ? "" : "s", new_path,
+                missing == 1 ? "it" : "them");
+    return 1;
+  }
   if (regressions > 0) {
     std::printf("bench_diff: %d regression%s beyond %.0f%%%s\n", regressions,
                 regressions == 1 ? "" : "s", threshold_pct,
