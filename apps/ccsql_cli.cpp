@@ -12,19 +12,21 @@
 //   ccsql map                         section 5 hardware-mapping flow
 //   ccsql codegen TABLE [--casez]     emit controller code from an
 //                                     implementation table
-//   ccsql sim [ASSIGNMENT] [--fig4] [--quads N] [--addrs N] [--txns N]
-//         [--seed N] [--workload NAME] [--no-dense]
-//                                     table-driven simulation (dense
-//                                     dispatch; --no-dense for the hashed
-//                                     TableIndex baseline), reporting
+//   ccsql sim [ASSIGNMENT] [--fig4] [--quads N] [--addrs N] [--capacity N]
+//         [--txns N] [--seed N] [--latency N] [--workload NAME]
+//                                     table-driven simulation, reporting
 //                                     events/sec
+//   ccsql sweep [ASSIGNMENT] [--seeds N] [--quiet]
+//                                     the pool-parallel validation grid
+//                                     (quads x capacity x workload x seed);
+//                                     exits 1 on any unhealthy run
 //   ccsql reach [ASSIGNMENT] [--quads N] [--addrs N] [--ops N]
-//         [--symmetry] [--classify] [--witness] [--sequential]
-//                                     exhaustive exploration: parallel
-//                                     symmetry-reduced explorer by default
-//                                     (--sequential for the string-keyed
-//                                     oracle), --classify labels VCG cycles
-//                                     against the reachable states
+//         [--symmetry] [--classify] [--witness] [--max-states N]
+//         [--first-deadlock] [--only-ops A,B] [--node-ops N,M]
+//                                     exhaustive parallel exploration,
+//                                     optionally symmetry-reduced;
+//                                     --classify labels VCG cycles against
+//                                     the reachable states
 //   ccsql serve [--sessions N] [--iterations N] [--no-cache]
 //         [--max-inflight N] [--writer N] [--script FILE] [-v]
 //                                     multi-session serving loop over
@@ -45,17 +47,20 @@
 //                              identical at any N.
 // CCSQL_TRACE / CCSQL_TRACE_FORMAT / CCSQL_METRICS=1 / CCSQL_JOBS in the
 // environment do the same.  Each command accepts only the global flags and
-// its own; any other flag, a missing flag value or a malformed number
-// exits 2.
+// its own; any other flag, a missing flag value, a malformed number or one
+// below the flag's minimum (counts such as --quads start at 1) exits 2.
 //
 // All commands operate on the built-in ASURA reconstruction.
 #include <algorithm>
+#include <cctype>
 #include <cerrno>
 #include <climits>
 #include <cstdlib>
 #include <fstream>
+#include <iomanip>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -73,14 +78,15 @@
 #include "serve/server.hpp"
 #include "serve/session.hpp"
 #include "sim/machine.hpp"
+#include "sim/sweep.hpp"
 
 namespace {
 
 using namespace ccsql;
 
 /// Parsed command line.  Flags were checked against the command's accepted
-/// set at parse time, and integer values were validated, so the accessors
-/// cannot fail.
+/// set at parse time, and integer values were validated against their
+/// minimum, so the accessors cannot fail.
 struct Args {
   std::vector<std::string> positional;
   std::map<std::string, std::string> flags;  // switches map to ""
@@ -99,13 +105,21 @@ struct Args {
   }
 };
 
-enum class FlagKind { kSwitch, kInt, kText };
+/// kInt takes a non-negative integer, kCount a positive one.
+enum class FlagKind { kSwitch, kInt, kCount, kText };
 
 struct FlagSpec {
   const char* name;
   FlagKind kind;
-  /// What a valued flag needs, for the missing-value message.
-  const char* wants = "a non-negative integer";
+  /// What a valued flag needs, for the error message (integer kinds
+  /// default to a description of their range).
+  const char* wants = nullptr;
+
+  [[nodiscard]] const char* wanted() const {
+    if (wants != nullptr) return wants;
+    return kind == FlagKind::kCount ? "a positive integer"
+                                    : "a non-negative integer";
+  }
 };
 
 constexpr FlagSpec kGlobalFlags[] = {
@@ -113,8 +127,30 @@ constexpr FlagSpec kGlobalFlags[] = {
     {"--trace-format", FlagKind::kText, "a format"},
     {"--metrics", FlagKind::kSwitch},
     {"--stats", FlagKind::kSwitch},
-    {"--jobs", FlagKind::kInt, "a positive thread count"},
+    {"--jobs", FlagKind::kCount, "a positive thread count"},
 };
+
+/// Strict decimal parse: the whole token, no sign, within [min, INT_MAX].
+std::optional<int> parse_int(const std::string& text, long min) {
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(text.c_str(), &end, 10);
+  if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])) ||
+      *end != '\0' || errno != 0 || v < min || v > INT_MAX) {
+    return std::nullopt;
+  }
+  return static_cast<int>(v);
+}
+
+/// Splits a comma-separated flag value, dropping empty items.
+std::vector<std::string> split_list(const std::string& text) {
+  std::vector<std::string> out;
+  std::istringstream ss(text);
+  for (std::string tok; std::getline(ss, tok, ',');) {
+    if (!tok.empty()) out.push_back(tok);
+  }
+  return out;
+}
 
 int usage() {
   std::cerr
@@ -126,14 +162,16 @@ int usage() {
          "  deadlock [ASSIGNMENT]    deadlock analysis (default: all)\n"
          "  map                      hardware-mapping flow\n"
          "  codegen TABLE [--casez]  emit code from an implementation table\n"
-         "  sim [ASSIGNMENT] [--fig4] [--quads N] [--addrs N] [--txns N]\n"
-         "      [--seed N] [--workload NAME] [--no-dense]\n"
+         "  sim [ASSIGNMENT] [--fig4] [--quads N] [--addrs N] [--capacity N]\n"
+         "      [--txns N] [--seed N] [--latency N] [--workload NAME]\n"
          "                           table-driven simulation; workloads:\n"
          "                           random, lock, producer-consumer,\n"
-         "                           false-sharing, streaming; --no-dense\n"
-         "                           uses the hashed TableIndex baseline\n"
+         "                           false-sharing, streaming\n"
+         "  sweep [ASSIGNMENT] [--seeds N] [--quiet]\n"
+         "                           validation grid of simulations on the\n"
+         "                           pool; exit 1 on any unhealthy run\n"
          "  reach [ASSIGNMENT] [--quads N] [--addrs N] [--ops N]\n"
-         "        [--symmetry] [--classify] [--witness] [--sequential]\n"
+         "        [--symmetry] [--classify] [--witness]\n"
          "        [--max-states N] [--first-deadlock]\n"
          "        [--only-ops A,B] [--node-ops N,M]\n"
          "                           parallel reachability (sharded visited\n"
@@ -259,7 +297,6 @@ int cmd_sim(const ProtocolSpec& spec, const Args& args) {
   cfg.channel_capacity = args.value_of("--capacity", 2);
   cfg.transactions_per_node = args.value_of("--txns", 100);
   cfg.seed = static_cast<unsigned>(args.value_of("--seed", 1));
-  cfg.dense_dispatch = !args.has("--no-dense");
   if (const std::string wl = args.str_value_of("--workload", "");
       !wl.empty()) {
     const auto parsed = sim::parse_workload(wl);
@@ -299,7 +336,6 @@ int cmd_sim(const ProtocolSpec& spec, const Args& args) {
             << " steps=" << r.steps << " transactions="
             << r.transactions_done << " errors=" << r.errors.size()
             << " workload=" << sim::workload_name(cfg.workload)
-            << " dispatch=" << (cfg.dense_dispatch ? "dense" : "hashed")
             << " events/sec=" << r.events_per_sec() << "\n";
   for (const auto& e : r.errors) std::cout << "  " << e << "\n";
   if (r.deadlocked) std::cout << r.deadlock_report;
@@ -319,31 +355,39 @@ int cmd_reach(const ProtocolSpec& spec, const Args& args) {
   cfg.stop_at_first_deadlock = args.has("--first-deadlock");
   cfg.symmetry = args.has("--symmetry");
   // Directed exploration: comma-separated op names / per-node budgets.
-  if (const std::string ops = args.str_value_of("--only-ops", "");
-      !ops.empty()) {
-    std::istringstream ss(ops);
-    for (std::string tok; std::getline(ss, tok, ',');) {
-      if (!tok.empty()) cfg.inject_ops.push_back(tok);
+  if (args.has("--only-ops")) {
+    cfg.inject_ops = split_list(args.str_value_of("--only-ops", ""));
+    if (cfg.inject_ops.empty()) {
+      std::cerr << "error: --only-ops needs at least one op\n";
+      return 2;
+    }
+    for (const std::string& op : cfg.inject_ops) {
+      if (sim::is_injectable_op(op)) continue;
+      std::cerr << "error: --only-ops: unknown op '" << op << "' (";
+      const char* sep = "";
+      for (const sim::InjectableOp& known : sim::kInjectableOps) {
+        std::cerr << sep << known.name;
+        sep = ", ";
+      }
+      std::cerr << ")\n";
+      return 2;
     }
   }
-  if (const std::string budgets = args.str_value_of("--node-ops", "");
-      !budgets.empty()) {
-    std::istringstream ss(budgets);
-    for (std::string tok; std::getline(ss, tok, ',');) {
-      if (!tok.empty()) cfg.ops_by_node.push_back(std::stoi(tok));
+  if (args.has("--node-ops")) {
+    for (const std::string& tok :
+         split_list(args.str_value_of("--node-ops", ""))) {
+      const std::optional<int> budget = parse_int(tok, 0);
+      if (!budget) {
+        std::cerr << "error: --node-ops needs non-negative integers, got '"
+                  << tok << "'\n";
+        return 2;
+      }
+      cfg.ops_by_node.push_back(*budget);
     }
-  }
-
-  if (args.has("--sequential")) {
-    ReachResult r = explore(spec, spec.assignment(assignment), cfg);
-    std::cout << "states=" << r.states << " transitions=" << r.transitions
-              << " complete=" << r.complete
-              << " deadlock_states=" << r.deadlock_states
-              << " violations=" << r.violations.size() << " ("
-              << r.seconds << "s)\n";
-    for (const auto& v : r.violations) std::cout << "  " << v << "\n";
-    if (r.deadlock_states > 0) std::cout << r.deadlock_example;
-    return r.verified() ? 0 : 1;
+    if (cfg.ops_by_node.empty()) {
+      std::cerr << "error: --node-ops needs at least one budget\n";
+      return 2;
+    }
   }
 
   ReachParallelResult r =
@@ -381,6 +425,57 @@ int cmd_reach(const ProtocolSpec& spec, const Args& args) {
   return r.verified() ? 0 : 1;
 }
 
+/// Runs the default validation grid (quads x channel capacity x workload
+/// shape x --seeds seeds) on the pool through sim::SweepEngine.  The merged
+/// counters are identical at any --jobs; exit 1 when any run deadlocks,
+/// stalls or reports coherence/table errors.
+int cmd_sweep(const ProtocolSpec& spec, const Args& args) {
+  const std::string assignment =
+      args.positional.empty() ? asura::kAssignV5Fix : args.positional[0];
+  const auto seeds = static_cast<unsigned>(args.value_of("--seeds", 8));
+  const bool quiet = args.has("--quiet");
+  // An unknown assignment name throws here, before any run starts.
+  static_cast<void>(spec.assignment(assignment));
+  const std::size_t jobs = core::Pool::default_jobs();
+
+  const sim::SweepEngine engine(spec);
+  const std::vector<sim::SweepRun> grid =
+      sim::default_sweep_grid(assignment, seeds);
+  std::cout << "# sweep: " << grid.size() << " runs (" << assignment
+            << "), jobs=" << jobs << "\n";
+  const sim::SweepResult result = engine.run(grid, jobs);
+
+  int shown = 0;  // the first 8 unhealthy runs are described
+  for (std::size_t i = 0; i < result.runs.size(); ++i) {
+    const sim::SimResult& r = result.runs[i];
+    if (r.healthy() || quiet || ++shown > 8) continue;
+    std::cout << "BAD " << grid[i].label() << ": completed=" << r.completed
+              << " deadlocked=" << r.deadlocked << " stalled=" << r.stalled
+              << " steps=" << r.steps << "\n";
+    for (const auto& e : r.errors) std::cout << "  " << e << "\n";
+  }
+
+  const auto fixed3 = [](double v) {
+    std::ostringstream os;
+    os << std::fixed << std::setprecision(3) << v;
+    return os.str();
+  };
+  const double cycles = static_cast<double>(result.merged.cycles);
+  std::cout << "# " << result.runs.size() << " runs: " << result.completed
+            << " completed, " << result.deadlocked << " deadlocked, "
+            << result.stalled << " stalled, " << result.unhealthy
+            << " unhealthy\n"
+            << "# events " << result.events << "  cycles "
+            << result.merged.cycles << "  events/cycle "
+            << fixed3(cycles > 0 ? static_cast<double>(result.events) / cycles
+                                 : 0.0)
+            << "\n"
+            << "# wall " << fixed3(result.seconds) << "s  events/sec "
+            << result.events_per_sec << "\n";
+  if (!quiet) std::cout << result.merged.summary();
+  return result.all_healthy() ? 0 : 1;
+}
+
 int cmd_lint(const ProtocolSpec& spec, const Args&) {
   auto findings = lint(spec, asura::processor_sinks());
   std::cout << lint_report(findings);
@@ -403,7 +498,6 @@ int cmd_serve(const ProtocolSpec& spec, const Args& args) {
   const auto writer_swaps =
       static_cast<std::size_t>(args.value_of("--writer", 0));
   const std::string script_path = args.str_value_of("--script", "");
-  if (sessions == 0) return usage();
 
   std::vector<std::string> statements;
   bool exists_mode = true;
@@ -514,13 +608,9 @@ int configure_observability(const Args& args) {
   }
   if (args.has("--metrics") || args.has("--stats")) tracer.enable_metrics();
   if (args.has("--jobs")) {
-    const int jobs = args.value_of("--jobs", 0);
-    if (jobs < 1) {
-      std::cerr << "error: --jobs needs a positive thread count\n";
-      return 2;
-    }
     // Before any parallel region, so the global pool is sized to match.
-    core::Pool::set_default_jobs(static_cast<std::size_t>(jobs));
+    core::Pool::set_default_jobs(
+        static_cast<std::size_t>(args.value_of("--jobs", 1)));
   }
   return 0;
 }
@@ -590,32 +680,31 @@ const std::vector<Command>& commands() {
       {"sim",
        cmd_sim,
        {{"--fig4", K::kSwitch},
-        {"--quads", K::kInt},
-        {"--addrs", K::kInt},
-        {"--capacity", K::kInt},
-        {"--txns", K::kInt},
+        {"--quads", K::kCount},
+        {"--addrs", K::kCount},
+        {"--capacity", K::kCount},
+        {"--txns", K::kCount},
         {"--seed", K::kInt},
         {"--latency", K::kInt},
-        {"--workload", K::kText, "a workload name"},
-        {"--no-dense", K::kSwitch}}},
+        {"--workload", K::kText, "a workload name"}}},
+      {"sweep", cmd_sweep, {{"--seeds", K::kCount}, {"--quiet", K::kSwitch}}},
       {"reach",
        cmd_reach,
-       {{"--quads", K::kInt},
-        {"--addrs", K::kInt},
-        {"--ops", K::kInt},
-        {"--max-states", K::kInt},
+       {{"--quads", K::kCount},
+        {"--addrs", K::kCount},
+        {"--ops", K::kCount},
+        {"--max-states", K::kCount},
         {"--first-deadlock", K::kSwitch},
         {"--symmetry", K::kSwitch},
         {"--classify", K::kSwitch},
         {"--witness", K::kSwitch},
-        {"--sequential", K::kSwitch},
         {"--only-ops", K::kText, "a comma-separated op list"},
         {"--node-ops", K::kText, "a comma-separated budget list"}}},
       {"lint", cmd_lint, {}},
       {"serve",
        cmd_serve,
-       {{"--sessions", K::kInt},
-        {"--iterations", K::kInt},
+       {{"--sessions", K::kCount},
+        {"--iterations", K::kCount},
         {"--no-cache", K::kSwitch},
         {"--max-inflight", K::kInt},
         {"--writer", K::kInt},
@@ -629,8 +718,8 @@ const std::vector<Command>& commands() {
 /// Parses argv[2..] for `cmd`: a token starting with '-' must be a global
 /// flag or one of the command's own; a valued flag takes the next token,
 /// which must not itself start with '-'; an integer value must be a
-/// non-negative decimal that fits an int.  Returns false after printing
-/// the error.
+/// decimal that fits an int, at least 0 (kInt) or 1 (kCount).  Returns
+/// false after printing the error.
 bool parse_args(const Command& cmd, int argc, char** argv, Args& args) {
   for (int i = 2; i < argc; ++i) {
     const std::string token = argv[i];
@@ -653,21 +742,17 @@ bool parse_args(const Command& cmd, int argc, char** argv, Args& args) {
     std::string value;
     if (spec->kind != FlagKind::kSwitch) {
       if (i + 1 >= argc || argv[i + 1][0] == '-') {
-        std::cerr << "error: " << token << " needs " << spec->wants << "\n";
+        std::cerr << "error: " << token << " needs " << spec->wanted()
+                  << "\n";
         return false;
       }
       value = argv[++i];
     }
-    if (spec->kind == FlagKind::kInt) {
-      char* end = nullptr;
-      errno = 0;
-      const long v = std::strtol(value.c_str(), &end, 10);
-      if (end == value.c_str() || *end != '\0' || errno != 0 || v < 0 ||
-          v > INT_MAX) {
-        std::cerr << "error: " << token << " needs " << spec->wants
-                  << ", got '" << value << "'\n";
-        return false;
-      }
+    if ((spec->kind == FlagKind::kInt || spec->kind == FlagKind::kCount) &&
+        !parse_int(value, spec->kind == FlagKind::kCount ? 1 : 0)) {
+      std::cerr << "error: " << token << " needs " << spec->wanted()
+                << ", got '" << value << "'\n";
+      return false;
     }
     args.flags[token] = value;
   }

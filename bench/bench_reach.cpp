@@ -9,10 +9,12 @@
 // the configuration, while the complete SQL deadlock analysis stays at
 // milliseconds; both find the Figure 4 deadlock.
 //
-// The parallel/symmetry legs measure how far the engineered explorer
-// (checks/reach_parallel.cpp) pushes that wall: wave-parallel BFS over a
-// sharded 128-bit visited set, and orbit canonicalization that divides the
-// state count by the quad/address symmetry group.
+// The sequential legs run the test-side string-fingerprint oracle
+// (tests/support/reach_oracle.hpp), the reference the parallel explorer
+// must match.  The parallel/symmetry legs measure how far the engineered
+// explorer (checks/reach_parallel.cpp) pushes that wall: wave-parallel BFS
+// over a sharded 128-bit visited set, and orbit canonicalization that
+// divides the state count by the quad/address symmetry group.
 //
 // `--smoke` runs a fixed set of legs without google-benchmark and emits a
 // ccsql-bench/1 document for the CI perf-smoke job (states/sec rates carry
@@ -26,6 +28,7 @@
 #include "checks/reach.hpp"
 #include "checks/vcg.hpp"
 #include "core/pool.hpp"
+#include "reach_oracle.hpp"
 
 namespace {
 
@@ -40,9 +43,8 @@ void BM_ExhaustiveExploration(benchmark::State& state) {
   std::uint64_t states = 0;
   bool ok = false;
   for (auto _ : state) {
-    ReachResult r =
-        explore(asura_spec(), asura_spec().assignment(asura::kAssignV5Fix),
-                cfg);
+    ReachResult r = oracle::explore(
+        asura_spec(), asura_spec().assignment(asura::kAssignV5Fix), cfg);
     states = r.states;
     ok = r.verified();
     benchmark::DoNotOptimize(r);
@@ -155,7 +157,7 @@ int run_smoke() {
   cfg.ops_per_node = 1;
 
   // Sequential oracle and the parallel explorer on the same config.
-  const ReachResult seq = explore(
+  const ReachResult seq = oracle::explore(
       asura_spec(), asura_spec().assignment(asura::kAssignV5Fix), cfg);
   set_metric("bench.reach.seq_states", seq.states);
   set_metric("bench.reach.seq_states_per_sec_qps",
@@ -230,9 +232,8 @@ int main(int argc, char** argv) {
     cfg.n_addrs = a;
     cfg.ops_per_node = o;
     cfg.max_states = 1'000'000;
-    ReachResult r =
-        explore(asura_spec(), asura_spec().assignment(asura::kAssignV5Fix),
-                cfg);
+    ReachResult r = oracle::explore(
+        asura_spec(), asura_spec().assignment(asura::kAssignV5Fix), cfg);
     std::printf("#   (%d,%d,%d): %llu states, %s, %.2fs\n", q, a, o,
                 static_cast<unsigned long long>(r.states),
                 r.complete ? "complete" : "TRUNCATED", r.seconds);

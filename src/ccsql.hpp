@@ -20,7 +20,9 @@
 //  - DeadlockAnalysis — VCG construction / cycle detection
 //
 // Deeper layers (plan IR, the solver, the simulator core) stay internal;
-// include their headers directly only from within src/.
+// include their headers directly only from within src/.  From the command
+// line, `ccsql sim`, `ccsql sweep` and `ccsql reach` drive the simulator,
+// the pool-parallel validation sweep and the explorer.
 
 #include "checks/invariant.hpp"
 #include "checks/vcg.hpp"

@@ -38,7 +38,8 @@ struct ReachConfig {
   std::vector<int> ops_by_node;
 };
 
-/// Outcome of the exhaustive search.
+/// Outcome of the exhaustive search (the aggregates explore_parallel shares
+/// with the test-side sequential oracle, tests/support/reach_oracle.hpp).
 struct ReachResult {
   std::uint64_t states = 0;       // distinct states visited
   std::uint64_t transitions = 0;  // state transitions executed
@@ -56,25 +57,23 @@ struct ReachResult {
   }
 };
 
-/// Breadth-first exploration of every interleaving of the table-driven
-/// protocol under the given channel assignment, from the all-invalid
-/// initial state.  Checks the same properties the paper establishes
-/// statically: coherence invariants on every state and absence of global
-/// deadlock.  Exhaustive but exponential — run it next to the millisecond
-/// SQL analyses (bench_reach) to reproduce the paper's argument for the
-/// database approach.
-ReachResult explore(const ProtocolSpec& spec, const ChannelAssignment& v,
-                    const ReachConfig& config);
-
 // ---- Parallel, symmetry-reduced exploration ---------------------------------
-// explore_parallel() is the scaled-up successor of explore(): the same BFS
-// semantics, but driven as waves on the shared work-stealing pool, with the
-// visited set keyed on 128-bit hashed canonical fingerprints instead of
-// strings, optional quad/address orbit canonicalization, and parent-pointer
-// bookkeeping so every deadlock comes back with a replayable action trace.
-// Aggregates (states, transitions, deadlock count, the violation set) are
-// identical at any `jobs` value, and — with symmetry off — identical to the
-// sequential explore() on every config neither search truncates.
+// explore_parallel() is breadth-first exploration of every interleaving of
+// the table-driven protocol under the given channel assignment, from the
+// all-invalid initial state.  It checks the same properties the paper
+// establishes statically: coherence invariants on every state and absence
+// of global deadlock.  Exhaustive but exponential — run it next to the
+// millisecond SQL analyses (bench_reach) to reproduce the paper's argument
+// for the database approach.
+//
+// The BFS is driven as waves on the shared work-stealing pool, with the
+// visited set keyed on 128-bit hashed canonical fingerprints, optional
+// quad/address orbit canonicalization, and parent-pointer bookkeeping so
+// every deadlock comes back with a replayable action trace.  Aggregates
+// (states, transitions, deadlock count, the violation set) are identical at
+// any `jobs` value, and — with symmetry off — identical to the test-side
+// string-fingerprint oracle (oracle::explore) on every config neither
+// search truncates.
 
 struct ReachParallelConfig : ReachConfig {
   /// Parallel lanes for wave expansion; 0 = core::Pool::default_jobs().
@@ -141,7 +140,7 @@ std::vector<CycleClassification> classify_cycles(
     const ProtocolSpec& spec, const ChannelAssignment& v,
     const std::vector<VcgCycle>& cycles, const ReachParallelConfig& config);
 
-/// The `reach_dump --classify` report: one line per cycle, golden-testable.
+/// The `ccsql reach --classify` report: one line per cycle, golden-testable.
 std::string format_classification(
     const std::vector<CycleClassification>& classifications);
 

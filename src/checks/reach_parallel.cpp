@@ -1,8 +1,8 @@
 // Parallel, symmetry-reduced explicit-state exploration (checks/reach.hpp).
 //
-// The sequential explore() in reach.cpp is the oracle: a 100-line BFS over
-// string fingerprints.  This file is the version that actually scales —
-// the same wave-by-wave BFS semantics, executed as morsels on the shared
+// The test-side oracle (tests/support/reach_oracle.cpp) is a 100-line BFS
+// over string fingerprints.  This file is the version that actually scales
+// — the same wave-by-wave BFS semantics, executed as morsels on the shared
 // work-stealing pool:
 //
 //  - The visited set stores 128-bit hashes of the canonical numeric state

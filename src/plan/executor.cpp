@@ -185,9 +185,9 @@ struct Executor {
       // alias-renamed), so its indices address base rows directly.
       cols.push_back(node.schema->index_of(name));
     }
-    const bool cached = base.has_cached_index(cols);
-    const Table::IndexMap& index = base.index_on(cols);
-    CCSQL_COUNT(cached ? "plan.index_hits" : "plan.index_builds", 1);
+    bool built = false;
+    const Table::IndexMap& index = base.index_on(cols, 1, &built);
+    CCSQL_COUNT(built ? "plan.index_builds" : "plan.index_hits", 1);
     bc::Sel sel;
     auto it = index.find(Table::index_key(node.key_values));
     if (it != index.end()) {
@@ -264,9 +264,9 @@ struct Executor {
       for (const auto& name : lookup.columns) {
         cols.push_back(lookup.schema->index_of(name));
       }
-      const bool cached = base.has_cached_index(cols);
-      const Table::IndexMap& index = base.index_on(cols);
-      CCSQL_COUNT(cached ? "plan.index_hits" : "plan.index_builds", 1);
+      bool built = false;
+      const Table::IndexMap& index = base.index_on(cols, 1, &built);
+      CCSQL_COUNT(built ? "plan.index_builds" : "plan.index_hits", 1);
       bc::Sel hits;
       auto it = index.find(Table::index_key(lookup.key_values));
       if (it != index.end()) {
@@ -370,8 +370,6 @@ struct Executor {
     obs::MemReservation build_mem;
     if (rhs.is_scan()) {
       right = &base_of(rhs);
-      const bool cached = right->has_cached_join_index(rk);
-      CCSQL_COUNT(cached ? "plan.index_hits" : "plan.index_builds", 1);
       if (ctx.record) rhs.actual_rows = right->row_count();
     } else {
       right_local = exec(rhs, kNoLimit);
@@ -381,7 +379,11 @@ struct Executor {
       build_mem = obs::MemReservation(obs::MemTracker::Category::kHashBuilds,
                                       right_local.memory_bytes());
     }
-    const JoinIndex& index = right->join_index_on(rk, ctx.jobs);
+    bool built = false;
+    const JoinIndex& index = right->join_index_on(rk, ctx.jobs, &built);
+    if (rhs.is_scan()) {
+      CCSQL_COUNT(built ? "plan.index_builds" : "plan.index_hits", 1);
+    }
     if (ctx.record) {
       node.stats.build_rows += right->row_count();
       node.stats.build_keys += index.key_count();

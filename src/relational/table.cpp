@@ -516,7 +516,8 @@ const Table::IndexMap& Table::index_on(const std::vector<std::string>& columns,
 }
 
 const Table::IndexMap& Table::index_on(const std::vector<std::size_t>& columns,
-                                       std::size_t jobs) const {
+                                       std::size_t jobs, bool* built) const {
+  if (built != nullptr) *built = false;
   {
     std::lock_guard<std::mutex> lock(index_cache_mutex());
     if (index_cache_) {
@@ -538,13 +539,15 @@ const Table::IndexMap& Table::index_on(const std::vector<std::size_t>& columns,
     index_cache_ =
         std::make_shared<std::map<std::vector<std::size_t>, CachedIndex>>();
   }
-  return index_cache_
-      ->emplace(columns, CachedIndex{std::move(m), std::move(mem)})
-      .first->second.map;
+  const auto [it, inserted] = index_cache_->emplace(
+      columns, CachedIndex{std::move(m), std::move(mem)});
+  if (built != nullptr) *built = inserted;
+  return it->second.map;
 }
 
 const JoinIndex& Table::join_index_on(const std::vector<std::size_t>& columns,
-                                      std::size_t jobs) const {
+                                      std::size_t jobs, bool* built) const {
+  if (built != nullptr) *built = false;
   {
     std::lock_guard<std::mutex> lock(index_cache_mutex());
     if (join_cache_) {
@@ -552,17 +555,18 @@ const JoinIndex& Table::join_index_on(const std::vector<std::size_t>& columns,
       if (it != join_cache_->end()) return it->second.index;
     }
   }
-  JoinIndex built = JoinIndex::build(*this, columns, jobs);
+  JoinIndex index = JoinIndex::build(*this, columns, jobs);
   obs::MemReservation mem(obs::MemTracker::Category::kIndexes,
-                          built.memory_bytes());
+                          index.memory_bytes());
   std::lock_guard<std::mutex> lock(index_cache_mutex());
   if (!join_cache_) {
     join_cache_ =
         std::make_shared<std::map<std::vector<std::size_t>, CachedJoin>>();
   }
-  return join_cache_
-      ->emplace(columns, CachedJoin{std::move(built), std::move(mem)})
-      .first->second.index;
+  const auto [it, inserted] = join_cache_->emplace(
+      columns, CachedJoin{std::move(index), std::move(mem)});
+  if (built != nullptr) *built = inserted;
+  return it->second.index;
 }
 
 std::size_t Table::index_memory_bytes(const IndexMap& index) {
@@ -616,17 +620,6 @@ Table::IndexMap Table::build_index(const std::vector<std::size_t>& columns,
     }
   }
   return m;
-}
-
-bool Table::has_cached_index(const std::vector<std::size_t>& columns) const {
-  std::lock_guard<std::mutex> lock(index_cache_mutex());
-  return index_cache_ && index_cache_->count(columns) > 0;
-}
-
-bool Table::has_cached_join_index(
-    const std::vector<std::size_t>& columns) const {
-  std::lock_guard<std::mutex> lock(index_cache_mutex());
-  return join_cache_ && join_cache_->count(columns) > 0;
 }
 
 // ---- Radix join index -------------------------------------------------------

@@ -464,22 +464,22 @@ class Table {
   /// the build across the pool; per-key row lists stay in ascending table
   /// order (partitions are merged in row order), so results are identical
   /// at any jobs value.
+  ///
+  /// `built`, when given, is set to whether this call installed the index
+  /// in the cache — decided under the cache lock, so across racing callers
+  /// exactly one reports the build and the rest report a cache hit.
   const IndexMap& index_on(const std::vector<std::string>& columns,
                            std::size_t jobs = 1) const;
   const IndexMap& index_on(const std::vector<std::size_t>& columns,
-                           std::size_t jobs = 1) const;
+                           std::size_t jobs = 1,
+                           bool* built = nullptr) const;
 
   /// Lazily-built radix-partitioned join index over the named columns —
-  /// the hash-join build side (cached and shared like index_on).
+  /// the hash-join build side (cached and shared like index_on, with the
+  /// same `built` report).
   const JoinIndex& join_index_on(const std::vector<std::size_t>& columns,
-                                 std::size_t jobs = 1) const;
-
-  /// True if index_on(columns) has already been built (observability).
-  [[nodiscard]] bool has_cached_index(
-      const std::vector<std::size_t>& columns) const;
-  /// True if join_index_on(columns) has already been built.
-  [[nodiscard]] bool has_cached_join_index(
-      const std::vector<std::size_t>& columns) const;
+                                 std::size_t jobs = 1,
+                                 bool* built = nullptr) const;
 
   // ---- Memory accounting ---------------------------------------------------
 

@@ -15,13 +15,8 @@
 // The compiled form is immutable and holds only pointers into the spec's
 // frozen catalog, so one CompiledTables instance is shared read-only by
 // every Machine of a parallel sweep (sim/sweep.hpp) — compilation is paid
-// once per process, not once per run.
-//
-// `Mode::kHashed` keeps the original TableIndex path alive behind the same
-// interface: it is the differential oracle (tests/sim/dispatch_test.cpp)
-// and the baseline bench_sim --smoke measures the dense speedup against.
-// Hashed-mode dispatch owns a mutable TableIndex, so hashed CompiledTables
-// must not be shared across threads; dense-mode sharing is safe.
+// once per process, not once per run.  The original TableIndex lives on as
+// the test-side lookup oracle (tests/support/table_index.hpp).
 
 #include <cstdint>
 #include <initializer_list>
@@ -30,7 +25,7 @@
 #include <string>
 #include <vector>
 
-#include "sim/table_index.hpp"
+#include "relational/table.hpp"
 
 namespace ccsql {
 class ProtocolSpec;
@@ -40,61 +35,54 @@ namespace ccsql::sim {
 
 class ControllerDispatch {
  public:
-  enum class Mode {
-    kDense,   // packed-key flat array (falls back to kHashed on overflow)
-    kHashed,  // the original TableIndex path (string keys, name lookups)
-  };
+  /// The one lookup engine: a packed-key flat array.  Kept as a type so
+  /// existing compile(spec, Mode::kDense) callers stay source-compatible.
+  enum class Mode { kDense };
 
   /// Handle to an output column, resolved once via col().
   using Col = std::uint16_t;
 
-  /// Compiles `table` for lookup on `key_columns` (same contract as
-  /// TableIndex: the key must be unique per row; duplicates throw).  Dense
-  /// compilation falls back to hashed when the packed key space would
-  /// exceed kDenseLimit slots (sparse/overflow keys).
-  ControllerDispatch(const Table& table, std::vector<std::string> key_columns,
-                     Mode mode);
+  /// Compiles `table` (called `name` in errors) for lookup on
+  /// `key_columns`.  The key must be unique
+  /// per row (duplicates throw), and the packed key space — the product of
+  /// the key columns' distinct-symbol counts — must fit kDenseLimit slots
+  /// (a larger one throws, naming the table and its slot count).
+  ControllerDispatch(std::string_view name, const Table& table,
+                     const std::vector<std::string>& key_columns);
 
   /// Row index matching the key values (order of key_columns), or nullopt
   /// when the table has no such row.  The caller owns hit/miss accounting
   /// (SimCounters is per-Machine; this object may be shared).
   [[nodiscard]] std::optional<std::size_t> find(
       std::initializer_list<Value> key) const {
-    if (!dense_rows_.empty()) {
-      std::size_t idx = 0;
-      const Value* it = key.begin();
-      for (const KeyCol& kc : key_cols_) {
-        const std::uint32_t id = it->id();
-        ++it;
-        const std::uint16_t code =
-            id < kc.codes.size() ? kc.codes[id] : 0;
-        if (code == 0) return std::nullopt;  // symbol outside the domain
-        idx += static_cast<std::size_t>(code - 1) * kc.stride;
-      }
-      const std::int32_t row = dense_rows_[idx];
-      if (row < 0) return std::nullopt;
-      return static_cast<std::size_t>(row);
+    std::size_t idx = 0;
+    const Value* it = key.begin();
+    for (const KeyCol& kc : key_cols_) {
+      const std::uint32_t id = it->id();
+      ++it;
+      const std::uint16_t code = id < kc.codes.size() ? kc.codes[id] : 0;
+      if (code == 0) return std::nullopt;  // symbol outside the domain
+      idx += static_cast<std::size_t>(code - 1) * kc.stride;
     }
-    // Hashed path: reproduce the original cost shape exactly (key vector
-    // materialization + string key) so it stays an honest baseline.
-    return fallback_->find(std::vector<Value>(key));
+    const std::int32_t row = dense_rows_[idx];
+    if (row < 0) return std::nullopt;
+    return static_cast<std::size_t>(row);
   }
 
   /// Resolves an output column to a handle; call at compile time only.
   [[nodiscard]] Col col(std::string_view name);
 
-  /// Cell read for a found row.  Dense: one indexed load off the cached
-  /// column span.  Hashed: the original name-resolving TableIndex::at.
+  /// Cell read for a found row: one indexed load off the cached column
+  /// span.
   [[nodiscard]] Value at(std::size_t row, Col c) const {
-    if (!dense_rows_.empty()) return col_data_[c][row];
-    return fallback_->at(row, col_names_[c]);
+    return col_data_[c][row];
   }
 
-  [[nodiscard]] bool dense() const noexcept { return !dense_rows_.empty(); }
   [[nodiscard]] const Table& table() const noexcept { return *table_; }
 
-  /// Dense slot budget: past this the packed key space falls back to the
-  /// hash map rather than materializing an enormous, mostly-empty array.
+  /// Slot budget for the packed key space: a table past it is refused
+  /// rather than materialized as an enormous, mostly-empty array.  ASURA's
+  /// largest key space is D's, about 30k slots.
   static constexpr std::size_t kDenseLimit = std::size_t{1} << 22;
 
  private:
@@ -107,10 +95,8 @@ class ControllerDispatch {
 
   const Table* table_;
   std::vector<KeyCol> key_cols_;
-  std::vector<std::int32_t> dense_rows_;   // packed key -> row, -1 = none
-  std::vector<const Value*> col_data_;     // per handle, dense mode
-  std::vector<std::string> col_names_;     // per handle, hashed mode
-  std::unique_ptr<TableIndex> fallback_;   // hashed mode only
+  std::vector<std::int32_t> dense_rows_;  // packed key -> row, -1 = none
+  std::vector<const Value*> col_data_;    // per handle
 };
 
 /// The six ASURA controller dispatch structures plus every output-column
@@ -140,13 +126,14 @@ struct CompiledTables {
   } iocc;
 
   /// Compiles the spec's controller tables.  The returned object only
-  /// references the spec's catalog; the spec must outlive it.  Dense
-  /// compilations are immutable and safe to share across threads.
+  /// references the spec's catalog; the spec must outlive it.  It is
+  /// immutable and safe to share across threads.
   static std::shared_ptr<const CompiledTables> compile(
-      const ProtocolSpec& spec, ControllerDispatch::Mode mode);
+      const ProtocolSpec& spec,
+      ControllerDispatch::Mode mode = ControllerDispatch::Mode::kDense);
 
  private:
-  CompiledTables(const ProtocolSpec& spec, ControllerDispatch::Mode mode);
+  explicit CompiledTables(const ProtocolSpec& spec);
 };
 
 }  // namespace ccsql::sim

@@ -134,11 +134,7 @@ bool is_mem_request(Value t) {
 
 Machine::Machine(const ProtocolSpec& spec, const ChannelAssignment& v,
                  SimConfig config)
-    : Machine(spec, v, config,
-              CompiledTables::compile(
-                  spec, config.dense_dispatch
-                            ? ControllerDispatch::Mode::kDense
-                            : ControllerDispatch::Mode::kHashed)) {}
+    : Machine(spec, v, config, CompiledTables::compile(spec)) {}
 
 Machine::Machine(const ProtocolSpec& spec, const ChannelAssignment& v,
                  SimConfig config,
@@ -1109,7 +1105,7 @@ std::vector<std::pair<Value, Addr>> Machine::legal_ops(QuadId q) const {
   std::vector<std::pair<Value, Addr>> out;
   const Node& n = nodes_[static_cast<std::size_t>(q)];
   if (n.ncst != v_of("idle") || n.iocst != v_of("idle")) return out;
-  const auto allowed = [&](const char* op) {
+  const auto allowed = [&](std::string_view op) {
     if (config_.workload_ops.empty()) return true;
     for (const auto& name : config_.workload_ops) {
       if (name == op) return true;
@@ -1119,16 +1115,13 @@ std::vector<std::pair<Value, Addr>> Machine::legal_ops(QuadId q) const {
   for (Addr a = 0; a < config_.n_addrs; ++a) {
     auto it = n.cst.find(a);
     const Value cst = it == n.cst.end() ? v_of("I") : it->second;
-    if (cst == v_of("I")) {
-      for (const char* op : {"prd", "pwr", "patomic", "iord", "iowr"}) {
-        if (allowed(op)) out.emplace_back(v_of(op), a);
+    const std::string_view from = cst == v_of("I")   ? "I"
+                                  : cst == v_of("S") ? "S"
+                                                     : "";
+    for (const InjectableOp& op : kInjectableOps) {
+      if (op.from == from && allowed(op.name)) {
+        out.emplace_back(v_of(op.name), a);
       }
-    } else if (cst == v_of("S")) {
-      for (const char* op : {"pup", "pfl", "pevict"}) {
-        if (allowed(op)) out.emplace_back(v_of(op), a);
-      }
-    } else {
-      if (allowed("pwb")) out.emplace_back(v_of("pwb"), a);
     }
   }
   return out;

@@ -110,6 +110,29 @@ enum class Workload {
 std::optional<Workload> parse_workload(std::string_view name);
 std::string_view workload_name(Workload w);
 
+/// A transaction-generating operation of the exploration interface
+/// (Machine::legal_ops) with the cache-line state that enables it: "I",
+/// "S", or "" for any other state.
+struct InjectableOp {
+  std::string_view name;
+  std::string_view from;
+};
+
+/// Every injectable operation, in injection order.
+inline constexpr InjectableOp kInjectableOps[] = {
+    {"prd", "I"},  {"pwr", "I"}, {"patomic", "I"}, {"iord", "I"},
+    {"iowr", "I"}, {"pup", "S"}, {"pfl", "S"},     {"pevict", "S"},
+    {"pwb", ""},
+};
+
+/// True when `name` is one of kInjectableOps.
+[[nodiscard]] inline bool is_injectable_op(std::string_view name) {
+  for (const InjectableOp& op : kInjectableOps) {
+    if (op.name == name) return true;
+  }
+  return false;
+}
+
 /// Simulation configuration.
 struct SimConfig {
   int n_quads = 2;
@@ -127,17 +150,15 @@ struct SimConfig {
   /// symmetry reduction when this is set.
   std::vector<int> transactions_by_node;
   /// When non-empty, the random workload injects only these operation
-  /// names (directed exploration of a suspected interleaving, e.g.
-  /// {"prd", "patomic"} for the Figure 4 memory-interference wedge).
+  /// names, each one of kInjectableOps (directed exploration of a suspected
+  /// interleaving, e.g. {"prd", "patomic"} for the Figure 4
+  /// memory-interference wedge).
   std::vector<std::string> workload_ops;
   /// Workload shape driven by enable_workload() (kRandom reproduces the
   /// legacy enable_random_workload behavior exactly).
   Workload workload = Workload::kRandom;
   /// Cycle-delay model charged per event into SimCounters.
   CycleModel cycle_model;
-  /// Controller-table lookup engine: precompiled dense dispatch (the fast
-  /// path) vs the original hashed TableIndex (the differential baseline).
-  bool dense_dispatch = true;
   unsigned seed = 1;
 };
 

@@ -1,6 +1,6 @@
 // Determinism property: the parallel explorer's aggregates are a pure
 // function of the configuration — identical at any --jobs value, and
-// identical to the sequential string-fingerprint oracle in reach.cpp.
+// identical to the sequential string-fingerprint oracle (reach_oracle.hpp).
 #include <string>
 #include <vector>
 
@@ -8,6 +8,7 @@
 
 #include "checks/reach.hpp"
 #include "protocol/asura/asura.hpp"
+#include "reach_oracle.hpp"
 
 namespace ccsql {
 namespace {
@@ -77,7 +78,8 @@ TEST(ReachParallelProperty, MatchesSequentialOracle) {
       base_config(1, 1, 2), base_config(2, 1, 1), base_config(2, 3, 1)};
   for (const char* a : {asura::kAssignV5, asura::kAssignV5Fix}) {
     for (const auto& cfg : configs) {
-      const ReachResult seq = explore(spec(), spec().assignment(a), cfg);
+      const ReachResult seq =
+          oracle::explore(spec(), spec().assignment(a), cfg);
       const ReachParallelResult par =
           explore_parallel(spec(), spec().assignment(a), cfg);
       EXPECT_TRUE(of(seq) == of(par))
@@ -96,7 +98,7 @@ TEST(ReachParallelProperty, DeadlockConfigMatchesOracle) {
   cfg.inject_ops = {"prd", "patomic"};
   cfg.ops_by_node = {2, 1};
   const ReachResult seq =
-      explore(spec(), spec().assignment(asura::kAssignV5), cfg);
+      oracle::explore(spec(), spec().assignment(asura::kAssignV5), cfg);
   const ReachParallelResult par =
       explore_parallel(spec(), spec().assignment(asura::kAssignV5), cfg);
   EXPECT_GT(par.deadlock_states, 0u);

@@ -1,3 +1,6 @@
+// Verdict tests of the production explorer (explore_parallel); its
+// differential against the sequential oracle lives in
+// reach_parallel_property_test.cpp.
 #include "checks/reach.hpp"
 
 #include <gtest/gtest.h>
@@ -13,11 +16,12 @@ const ProtocolSpec& spec() {
 }
 
 TEST(Reach, TrivialConfigurationIsVerified) {
-  ReachConfig cfg;
+  ReachParallelConfig cfg;
   cfg.n_quads = 1;
   cfg.n_addrs = 1;
   cfg.ops_per_node = 1;
-  ReachResult r = explore(spec(), spec().assignment(asura::kAssignV5Fix), cfg);
+  ReachParallelResult r =
+      explore_parallel(spec(), spec().assignment(asura::kAssignV5Fix), cfg);
   EXPECT_TRUE(r.complete);
   EXPECT_TRUE(r.verified()) << (r.violations.empty()
                                     ? r.deadlock_example
@@ -27,12 +31,12 @@ TEST(Reach, TrivialConfigurationIsVerified) {
 }
 
 TEST(Reach, TwoQuadsOneOpEachExhaustsCleanly) {
-  ReachConfig cfg;
+  ReachParallelConfig cfg;
   cfg.n_quads = 2;
   cfg.n_addrs = 1;
   cfg.ops_per_node = 1;
   for (const char* a : {asura::kAssignV5, asura::kAssignV5Fix}) {
-    ReachResult r = explore(spec(), spec().assignment(a), cfg);
+    ReachParallelResult r = explore_parallel(spec(), spec().assignment(a), cfg);
     EXPECT_TRUE(r.complete) << a;
     EXPECT_TRUE(r.verified()) << a;
   }
@@ -41,11 +45,12 @@ TEST(Reach, TwoQuadsOneOpEachExhaustsCleanly) {
 TEST(Reach, TwoOpsPerNodeStillVerified) {
   // ~37k states: every interleaving of two transactions per node over one
   // line, including all the grant / upgrade / writeback races.
-  ReachConfig cfg;
+  ReachParallelConfig cfg;
   cfg.n_quads = 2;
   cfg.n_addrs = 1;
   cfg.ops_per_node = 2;
-  ReachResult r = explore(spec(), spec().assignment(asura::kAssignV5Fix), cfg);
+  ReachParallelResult r =
+      explore_parallel(spec(), spec().assignment(asura::kAssignV5Fix), cfg);
   EXPECT_TRUE(r.complete);
   EXPECT_TRUE(r.verified()) << (r.violations.empty()
                                     ? r.deadlock_example
@@ -54,23 +59,26 @@ TEST(Reach, TwoOpsPerNodeStillVerified) {
 }
 
 TEST(Reach, DeterministicStateCounts) {
-  ReachConfig cfg;
+  ReachParallelConfig cfg;
   cfg.n_quads = 2;
   cfg.n_addrs = 1;
   cfg.ops_per_node = 1;
-  ReachResult a = explore(spec(), spec().assignment(asura::kAssignV5), cfg);
-  ReachResult b = explore(spec(), spec().assignment(asura::kAssignV5), cfg);
+  ReachParallelResult a =
+      explore_parallel(spec(), spec().assignment(asura::kAssignV5), cfg);
+  ReachParallelResult b =
+      explore_parallel(spec(), spec().assignment(asura::kAssignV5), cfg);
   EXPECT_EQ(a.states, b.states);
   EXPECT_EQ(a.transitions, b.transitions);
 }
 
 TEST(Reach, BudgetTruncationReported) {
-  ReachConfig cfg;
+  ReachParallelConfig cfg;
   cfg.n_quads = 2;
   cfg.n_addrs = 2;
   cfg.ops_per_node = 2;
   cfg.max_states = 500;
-  ReachResult r = explore(spec(), spec().assignment(asura::kAssignV5Fix), cfg);
+  ReachParallelResult r =
+      explore_parallel(spec(), spec().assignment(asura::kAssignV5Fix), cfg);
   EXPECT_FALSE(r.complete);
   EXPECT_FALSE(r.verified());
   EXPECT_GE(r.states, 500u);
@@ -81,12 +89,13 @@ TEST(Reach, DiscoversTheFigure4DeadlockUnaided) {
   // breadth-first search to walk into the Figure 4 wedge on its own: the
   // witness channels are exactly the paper's — an idone stuck in VC2 and a
   // directory->memory request stuck in VC4.
-  ReachConfig cfg;
+  ReachParallelConfig cfg;
   cfg.n_quads = 2;
   cfg.n_addrs = 3;  // addresses 0 and 2 share home 0
   cfg.ops_per_node = 2;
   cfg.stop_at_first_deadlock = true;
-  ReachResult r = explore(spec(), spec().assignment(asura::kAssignV5), cfg);
+  ReachParallelResult r =
+      explore_parallel(spec(), spec().assignment(asura::kAssignV5), cfg);
   ASSERT_GE(r.deadlock_states, 1u);
   EXPECT_NE(r.deadlock_example.find("VC2"), std::string::npos);
   EXPECT_NE(r.deadlock_example.find("VC4"), std::string::npos);

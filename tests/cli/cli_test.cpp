@@ -116,6 +116,38 @@ TEST(Cli, SimRandomHealthyUnderFix) {
   EXPECT_NE(r.output.find("errors=0"), std::string::npos);
 }
 
+// The validation sweep (one seed per cell: 3 topologies x 3 capacities x
+// 5 workload shapes) completes healthy and exits 0.
+TEST(Cli, SweepSmokeHealthy) {
+  RunResult r = run("sweep --seeds 1 --jobs 2 --quiet");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("# sweep: 45 runs (V5fix), jobs=2"),
+            std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("# 45 runs: 45 completed, 0 deadlocked, 0 stalled, "
+                          "0 unhealthy"),
+            std::string::npos)
+      << r.output;
+}
+
+// Figure 4 end to end: the directed search under V5 reaches the VC2/VC4
+// wedge (exit 1) and labels the VCG cycles against it.
+TEST(Cli, ReachClassifiesFigure4Cycles) {
+  RunResult r = run(
+      "reach V5 --quads 2 --addrs 3 --ops 2 --only-ops prd,patomic "
+      "--node-ops 2,1 --classify --witness");
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("witness: 16 actions to the first deadlock"),
+            std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("cycle 0 [VC2 VC4]: reachable  (witness: 16 "
+                          "actions)"),
+            std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("cycle 1 [VC4]: unreachable"), std::string::npos);
+  EXPECT_NE(r.output.find("cycle 2 [VC2]: unreachable"), std::string::npos);
+}
+
 TEST(Cli, ReachSmallConfigVerified) {
   RunResult r = run("reach V5fix --quads 2 --addrs 1 --ops 1");
   EXPECT_EQ(r.exit_code, 0);
@@ -224,19 +256,59 @@ TEST(Cli, BadTraceFormatIsRejected) {
 // Each command accepts only the global flags and its own: an unknown flag
 // (including the retired engine switches) exits 2 before any work runs.
 TEST(Cli, UnknownFlagsAreRejected) {
-  for (const char* args : {"flow --bogus", "invariants --no-planner",
-                           "sim --no-bytecode", "tables --analyze"}) {
+  for (const char* args :
+       {"flow --bogus", "invariants --no-planner", "sim --no-bytecode",
+        "tables --analyze", "sim --no-dense", "reach --sequential",
+        "sweep --hashed"}) {
     RunResult r = run(args);
     EXPECT_EQ(r.exit_code, 2) << args;
     EXPECT_NE(r.output.find("unknown flag"), std::string::npos) << args;
   }
 }
 
+// Malformed values, and numbers below the flag's minimum: a count such as
+// --quads, --addrs or --txns starts at 1 (0 used to divide by zero or to
+// pass with no work done).  List flags are checked item by item: op names
+// against the simulator's injectable operations, budgets as non-negative
+// integers.
 TEST(Cli, MalformedNumbersAreRejected) {
   for (const char* args :
        {"serve --sessions abc", "serve --iterations 2x", "serve --sessions 0",
-        "serve --jobs 0", "sim --quads -3", "reach --ops"}) {
-    EXPECT_EQ(run(args).exit_code, 2) << args;
+        "serve --jobs 0", "sim --quads -3", "reach --ops", "sim --addrs 0",
+        "reach --quads 0", "sim --quads 0", "sim --txns 0", "sweep --seeds 0",
+        "reach --only-ops bogus", "reach --only-ops prd,bogus",
+        "reach --node-ops 2,x", "reach --node-ops 1,+2"}) {
+    RunResult r = run(args);
+    EXPECT_EQ(r.exit_code, 2) << args << "\n" << r.output;
+    EXPECT_NE(r.output.find("error: "), std::string::npos) << args;
+  }
+}
+
+/// The value printed for `name` in the --metrics summary ("name  value").
+long metric(const std::string& output, const std::string& name) {
+  const std::size_t at = output.find("\n" + name + " ");
+  if (at == std::string::npos) return -1;
+  return std::stol(output.substr(at + name.size() + 2));
+}
+
+// The plan.index_builds / plan.index_hits split is decided by the index
+// cache itself, so the invariant suite reports the same split at any job
+// count (a racy pre-check once let parallel runs count extra builds).
+TEST(Cli, IndexBuildSplitIsJobsIndependent) {
+#ifdef CCSQL_TRACING_DISABLED
+  GTEST_SKIP() << "instrumentation compiled out (CCSQL_TRACING=OFF)";
+#endif
+  const RunResult serial = run("invariants --metrics --jobs 1");
+  ASSERT_EQ(serial.exit_code, 0) << serial.output;
+  const long builds = metric(serial.output, "plan.index_builds");
+  const long hits = metric(serial.output, "plan.index_hits");
+  ASSERT_GT(builds, 0) << serial.output;
+  ASSERT_GT(hits, 0) << serial.output;
+  for (int i = 0; i < 4; ++i) {
+    const RunResult par = run("invariants --metrics --jobs 4");
+    ASSERT_EQ(par.exit_code, 0) << par.output;
+    EXPECT_EQ(metric(par.output, "plan.index_builds"), builds) << i;
+    EXPECT_EQ(metric(par.output, "plan.index_hits"), hits) << i;
   }
 }
 

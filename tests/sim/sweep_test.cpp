@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "protocol/asura/asura.hpp"
 
 namespace ccsql::sim {
@@ -103,7 +106,7 @@ TEST(Sweep, MatchesSequentialOracle) {
   const auto grid = small_grid();
   const SweepResult swept = engine.run(grid, 4);
 
-  auto tables = CompiledTables::compile(spec(), ControllerDispatch::Mode::kDense);
+  auto tables = CompiledTables::compile(spec());
   SimCounters oracle_merged;
   std::uint64_t oracle_events = 0;
   ASSERT_EQ(swept.runs.size(), grid.size());
@@ -140,27 +143,48 @@ TEST(Sweep, UnhealthyCellFailsTheSweep) {
   EXPECT_TRUE(r.runs[2].healthy());
 }
 
-/// Hashed-dispatch cells run through the same engine (private TableIndex
-/// per cell) and agree with their dense twins — the sweep-level face of the
-/// dispatch differential.
-TEST(Sweep, HashedCellsAgreeWithDense) {
-  const SweepEngine engine(spec());
-  std::vector<SweepRun> grid;
-  for (bool dense : {true, false}) {
-    SweepRun cell;
-    cell.config.n_quads = 3;
-    cell.config.n_addrs = 6;
-    cell.config.channel_capacity = 2;
-    cell.config.transactions_per_node = 25;
-    cell.config.seed = 7;
-    cell.config.dense_dispatch = dense;
-    cell.assignment = asura::kAssignV5Fix;
-    cell.memory_latency = 2;
-    grid.push_back(std::move(cell));
+/// FNV-1a over a final-state fingerprint string.
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (unsigned char c : s) {
+    h ^= c;
+    h *= 1099511628211ull;
   }
-  const SweepResult r = engine.run(grid, 2);
+  return h;
+}
+
+/// A sweep cell reproduces its recorded outcome.  The figures were captured
+/// from a build that still carried the hashed TableIndex dispatch, with the
+/// dense and hashed engines agreeing on every field.  The fingerprint hash
+/// covers symbol ids, which make_asura fixes when it runs before any other
+/// interning in the process (spec() below).
+TEST(Sweep, CellMatchesGoldenSignature) {
+  const SweepEngine engine(spec());
+  SweepRun cell;
+  cell.config.n_quads = 3;
+  cell.config.n_addrs = 6;
+  cell.config.channel_capacity = 2;
+  cell.config.transactions_per_node = 25;
+  cell.config.seed = 7;
+  cell.assignment = asura::kAssignV5Fix;
+  cell.memory_latency = 2;
+  const SweepResult r = engine.run({cell, cell}, 2);
   EXPECT_TRUE(r.all_healthy());
-  expect_result_eq(r.runs[0], r.runs[1]);
+  ASSERT_EQ(r.runs.size(), 2u);
+  for (const SimResult& run : r.runs) {
+    EXPECT_EQ(run.steps, 149u);
+    EXPECT_EQ(run.transactions_done, 75);
+    EXPECT_EQ(run.counters.msgs_sent, 505u);
+    EXPECT_EQ(run.counters.msgs_recv, 505u);
+    EXPECT_EQ(run.counters.send_stalls, 0u);
+    EXPECT_EQ(run.counters.cycles, 7490u);
+    EXPECT_EQ(run.counters.table_hits, 756u);
+  }
+  Machine m(spec(), spec().assignment(cell.assignment), cell.config);
+  m.set_memory_latency(cell.memory_latency);
+  m.enable_workload();
+  expect_result_eq(m.run(), r.runs[0]);
+  EXPECT_EQ(fnv1a(m.fingerprint()), 0xbae1da75ca65925full);
 }
 
 TEST(Sweep, DefaultGridShape) {

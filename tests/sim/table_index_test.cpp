@@ -1,10 +1,10 @@
-#include "sim/table_index.hpp"
+#include "table_index.hpp"
 
 #include <gtest/gtest.h>
 
 #include "relational/error.hpp"
 
-namespace ccsql::sim {
+namespace ccsql::oracle {
 namespace {
 
 Table sample() {
@@ -55,4 +55,4 @@ TEST(TableIndex, NullValuesInKeysWork) {
 }
 
 }  // namespace
-}  // namespace ccsql::sim
+}  // namespace ccsql::oracle
