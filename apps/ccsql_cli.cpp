@@ -108,17 +108,42 @@ struct Args {
 /// kInt takes a non-negative integer, kCount a positive one.
 enum class FlagKind { kSwitch, kInt, kCount, kText };
 
+// Ceilings of the count flags.  Past these a run cannot be set up in
+// memory or cannot finish, so they are usage errors (exit 2) rather than a
+// std::bad_alloc at exit 1:
+//  - quads: the network keeps a dense (src, dst, channel) slot table of
+//    quads^2 x channels entries, and per-quad node and home tables are
+//    sized up front;
+//  - addrs: home memory and the coherence monitor's per-address tables are
+//    filled for every address at machine construction;
+//  - capacity, txns/ops: messages per channel and operations per node;
+//  - seeds: the sweep materialises 45 grid cells per seed;
+//  - sessions x iterations: every query of `serve` logs its latency;
+//  - jobs: one pool thread per lane.
+constexpr int kMaxQuads = 256;
+constexpr int kMaxAddrs = 1 << 16;
+constexpr int kMaxCapacity = 1 << 16;
+constexpr int kMaxOpsPerNode = 1 << 20;
+constexpr int kMaxSeeds = 1000;
+constexpr int kMaxSessions = 256;
+constexpr int kMaxIterations = 1000;
+constexpr int kMaxJobs = 1024;
+
 struct FlagSpec {
   const char* name;
   FlagKind kind;
   /// What a valued flag needs, for the error message (integer kinds
   /// default to a description of their range).
   const char* wants = nullptr;
+  /// Largest accepted value of an integer kind.
+  int max = INT_MAX;
 
-  [[nodiscard]] const char* wanted() const {
-    if (wants != nullptr) return wants;
-    return kind == FlagKind::kCount ? "a positive integer"
-                                    : "a non-negative integer";
+  [[nodiscard]] std::string wanted() const {
+    std::string out = wants != nullptr            ? wants
+                      : kind == FlagKind::kCount ? "a positive integer"
+                                                 : "a non-negative integer";
+    if (max != INT_MAX) out += " of at most " + std::to_string(max);
+    return out;
   }
 };
 
@@ -127,16 +152,17 @@ constexpr FlagSpec kGlobalFlags[] = {
     {"--trace-format", FlagKind::kText, "a format"},
     {"--metrics", FlagKind::kSwitch},
     {"--stats", FlagKind::kSwitch},
-    {"--jobs", FlagKind::kCount, "a positive thread count"},
+    {"--jobs", FlagKind::kCount, "a positive thread count", kMaxJobs},
 };
 
-/// Strict decimal parse: the whole token, no sign, within [min, INT_MAX].
-std::optional<int> parse_int(const std::string& text, long min) {
+/// Strict decimal parse: the whole token, no sign, within [min, max].
+std::optional<int> parse_int(const std::string& text, long min,
+                             long max = INT_MAX) {
   char* end = nullptr;
   errno = 0;
   const long v = std::strtol(text.c_str(), &end, 10);
   if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])) ||
-      *end != '\0' || errno != 0 || v < min || v > INT_MAX) {
+      *end != '\0' || errno != 0 || v < min || v > max) {
     return std::nullopt;
   }
   return static_cast<int>(v);
@@ -376,10 +402,11 @@ int cmd_reach(const ProtocolSpec& spec, const Args& args) {
   if (args.has("--node-ops")) {
     for (const std::string& tok :
          split_list(args.str_value_of("--node-ops", ""))) {
-      const std::optional<int> budget = parse_int(tok, 0);
+      const std::optional<int> budget = parse_int(tok, 0, kMaxOpsPerNode);
       if (!budget) {
-        std::cerr << "error: --node-ops needs non-negative integers, got '"
-                  << tok << "'\n";
+        std::cerr << "error: --node-ops needs non-negative integers of at "
+                     "most "
+                  << kMaxOpsPerNode << ", got '" << tok << "'\n";
         return 2;
       }
       cfg.ops_by_node.push_back(*budget);
@@ -680,19 +707,22 @@ const std::vector<Command>& commands() {
       {"sim",
        cmd_sim,
        {{"--fig4", K::kSwitch},
-        {"--quads", K::kCount},
-        {"--addrs", K::kCount},
-        {"--capacity", K::kCount},
-        {"--txns", K::kCount},
+        {"--quads", K::kCount, nullptr, kMaxQuads},
+        {"--addrs", K::kCount, nullptr, kMaxAddrs},
+        {"--capacity", K::kCount, nullptr, kMaxCapacity},
+        {"--txns", K::kCount, nullptr, kMaxOpsPerNode},
         {"--seed", K::kInt},
         {"--latency", K::kInt},
         {"--workload", K::kText, "a workload name"}}},
-      {"sweep", cmd_sweep, {{"--seeds", K::kCount}, {"--quiet", K::kSwitch}}},
+      {"sweep",
+       cmd_sweep,
+       {{"--seeds", K::kCount, nullptr, kMaxSeeds}, {"--quiet", K::kSwitch}}},
       {"reach",
        cmd_reach,
-       {{"--quads", K::kCount},
-        {"--addrs", K::kCount},
-        {"--ops", K::kCount},
+       {{"--quads", K::kCount, nullptr, kMaxQuads},
+        {"--addrs", K::kCount, nullptr, kMaxAddrs},
+        {"--ops", K::kCount, nullptr, kMaxOpsPerNode},
+        // A search budget: nothing is sized by it up front.
         {"--max-states", K::kCount},
         {"--first-deadlock", K::kSwitch},
         {"--symmetry", K::kSwitch},
@@ -703,8 +733,8 @@ const std::vector<Command>& commands() {
       {"lint", cmd_lint, {}},
       {"serve",
        cmd_serve,
-       {{"--sessions", K::kCount},
-        {"--iterations", K::kCount},
+       {{"--sessions", K::kCount, nullptr, kMaxSessions},
+        {"--iterations", K::kCount, nullptr, kMaxIterations},
         {"--no-cache", K::kSwitch},
         {"--max-inflight", K::kInt},
         {"--writer", K::kInt},
@@ -718,7 +748,7 @@ const std::vector<Command>& commands() {
 /// Parses argv[2..] for `cmd`: a token starting with '-' must be a global
 /// flag or one of the command's own; a valued flag takes the next token,
 /// which must not itself start with '-'; an integer value must be a
-/// decimal that fits an int, at least 0 (kInt) or 1 (kCount).  Returns
+/// decimal from 0 (kInt) or 1 (kCount) up to the flag's max.  Returns
 /// false after printing the error.
 bool parse_args(const Command& cmd, int argc, char** argv, Args& args) {
   for (int i = 2; i < argc; ++i) {
@@ -749,7 +779,8 @@ bool parse_args(const Command& cmd, int argc, char** argv, Args& args) {
       value = argv[++i];
     }
     if ((spec->kind == FlagKind::kInt || spec->kind == FlagKind::kCount) &&
-        !parse_int(value, spec->kind == FlagKind::kCount ? 1 : 0)) {
+        !parse_int(value, spec->kind == FlagKind::kCount ? 1 : 0,
+                   spec->max)) {
       std::cerr << "error: " << token << " needs " << spec->wanted()
                 << ", got '" << value << "'\n";
       return false;

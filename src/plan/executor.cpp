@@ -38,17 +38,11 @@ struct Executor {
   const ExecContext& ctx;
 
   [[nodiscard]] const Table& base_of(const PlanNode& scan) const {
-    if (scan.bound != nullptr) return *scan.bound;
     if (ctx.catalog == nullptr) {
       throw BindError("plan: scan of '" + scan.table_name +
                       "' without a catalog");
     }
     return ctx.catalog->get(scan.table_name);
-  }
-
-  /// Identifier-hood schema for compiling `node`'s predicate.
-  [[nodiscard]] const Schema& full_of(const PlanNode& node) const {
-    return ctx.ident_schema != nullptr ? *ctx.ident_schema : *node.schema;
   }
 
   /// True when work over `rows` input rows should fan out across the pool.
@@ -247,7 +241,7 @@ struct Executor {
     const vec::RowFilter& pred =
         node.compiled ? *node.compiled
                       : local.emplace(*node.predicate, *node.schema,
-                                      full_of(node), ctx.functions);
+                                      *node.schema, ctx.functions);
     std::size_t visited = 0;
     OpStats scratch;  // discarded stats sink for record-off executions
     OpStats& stats = ctx.record ? node.stats : scratch;
@@ -319,7 +313,7 @@ struct Executor {
     std::optional<vec::RowFilter> local;
     const vec::RowFilter& pred =
         sel.compiled ? *sel.compiled
-                     : local.emplace(*sel.predicate, *sel.schema, full_of(sel),
+                     : local.emplace(*sel.predicate, *sel.schema, *sel.schema,
                                      ctx.functions);
     const std::size_t morsels = (n + kMorselGrain - 1) / kMorselGrain;
     if (ctx.record) {

@@ -21,13 +21,10 @@ namespace ccsql::plan {
 
 /// Everything a plan needs at run time.
 struct ExecContext {
-  /// Resolves named scans; may be null when every scan is bound to a table.
+  /// Resolves the plan's scans by table name.
   const Catalog* catalog = nullptr;
   /// WHERE-clause predicate functions (usually &catalog->functions()).
   const FunctionRegistry* functions = nullptr;
-  /// Identifier-hood schema override for predicate compilation; defaults to
-  /// each node's own schema.  See PlannerOptions::ident_schema.
-  const Schema* ident_schema = nullptr;
   /// Parallel lanes for the morsel-driven operators (filter, hash-join
   /// build/probe, union branches, count); <= 1 executes serially.  Results
   /// are bit-identical at any value: morsel boundaries depend only on input

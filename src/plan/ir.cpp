@@ -54,13 +54,13 @@ std::string PlanNode::label() const {
   switch (kind) {
     case Kind::kScan: {
       out += ' ';
-      out += table_name.empty() ? "<bound>" : table_name;
+      out += table_name;
       if (!alias.empty()) out += " as " + alias;
       break;
     }
     case Kind::kIndexLookup: {
       out += ' ';
-      out += table_name.empty() ? "<bound>" : table_name;
+      out += table_name;
       if (!alias.empty()) out += " as " + alias;
       out += " (";
       for (std::size_t i = 0; i < columns.size(); ++i) {
@@ -112,7 +112,6 @@ PlanPtr clone_plan(const PlanNode& root) {
   out->kind = root.kind;
   out->schema = root.schema;
   out->table_name = root.table_name;
-  out->bound = root.bound;
   out->alias = root.alias;
   out->predicate = root.predicate;
   out->compiled = root.compiled;

@@ -80,9 +80,8 @@ struct PlanNode {
   SchemaPtr schema;
 
   // -- kScan / kIndexLookup ---------------------------------------------------
-  std::string table_name;        // catalog scans; empty when `bound` is set
-  const Table* bound = nullptr;  // externally-owned base table (solver, vcg)
-  std::string alias;             // non-empty: columns read as "alias.name"
+  std::string table_name;  // the scanned catalog table
+  std::string alias;       // non-empty: columns read as "alias.name"
 
   // -- kSelect ----------------------------------------------------------------
   std::optional<Expr> predicate;

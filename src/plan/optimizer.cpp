@@ -29,10 +29,6 @@ Expr fold_not(const Expr& e) {
   }
 }
 
-const Schema& ident_schema_of(const PlanNode& node, const PlannerOptions& opts) {
-  return opts.ident_schema != nullptr ? *opts.ident_schema : *node.schema;
-}
-
 /// Same identifier-hood rule as compile() in relational/expr.cpp.
 bool is_column(const Atom& a, const Schema& ident) {
   return a.kind == Atom::Kind::kIdent && ident.has(a.text);
@@ -104,7 +100,7 @@ std::size_t split_conjunctions(PlanPtr& node) {
 /// this to fixpoint).  Walking the whole chain matters: a non-pushable
 /// residual (e.g. a cross-side inequality) sitting directly above the Cross
 /// must not pin the pushable filters stacked above it.
-bool push_once(PlanPtr& node, const PlannerOptions& opts) {
+bool push_once(PlanPtr& node) {
   if (node->kind == PlanNode::Kind::kSelect) {
     std::vector<PlanPtr*> links;  // slots holding each Select of the chain
     PlanPtr* cur = &node;
@@ -117,7 +113,7 @@ bool push_once(PlanPtr& node, const PlannerOptions& opts) {
       for (PlanPtr* slot : links) {
         PlanNode& sel = **slot;
         const std::vector<std::string> cols =
-            sel.predicate->referenced_columns(ident_schema_of(sel, opts));
+            sel.predicate->referenced_columns(*sel.schema);
         for (std::size_t side = 0; side < 2; ++side) {
           if (cols.empty() || !all_in(cols, *cross.children[side]->schema)) {
             continue;
@@ -138,7 +134,7 @@ bool push_once(PlanPtr& node, const PlannerOptions& opts) {
     }
   }
   for (auto& c : node->children) {
-    if (push_once(c, opts)) return true;
+    if (push_once(c)) return true;
   }
   return false;
 }
@@ -148,7 +144,7 @@ bool push_once(PlanPtr& node, const PlannerOptions& opts) {
 /// If `node` heads a chain of Selects over a Cross, converts the
 /// column=column equalities that span the two sides into HashJoin keys and
 /// removes the consumed Selects.  Returns the number of rewrites.
-std::size_t try_lower_join(PlanPtr& node, const PlannerOptions& opts) {
+std::size_t try_lower_join(PlanPtr& node) {
   if (node->kind != PlanNode::Kind::kSelect) return 0;
   std::vector<PlanPtr*> links;  // slots holding each Select of the chain
   PlanPtr* cur = &node;
@@ -166,7 +162,7 @@ std::size_t try_lower_join(PlanPtr& node, const PlannerOptions& opts) {
   for (std::size_t i = 0; i < links.size(); ++i) {
     const Expr& p = *(*links[i])->predicate;
     if (p.op() != Expr::Op::kCompare || p.negated()) continue;
-    const Schema& ident = ident_schema_of(**links[i], opts);
+    const Schema& ident = *(*links[i])->schema;
     const Atom& a = p.atoms()[0];
     const Atom& b = p.atoms()[1];
     if (!is_column(a, ident) || !is_column(b, ident)) continue;
@@ -195,9 +191,9 @@ std::size_t try_lower_join(PlanPtr& node, const PlannerOptions& opts) {
   return 1;
 }
 
-std::size_t lower_hash_joins(PlanPtr& node, const PlannerOptions& opts) {
-  std::size_t n = try_lower_join(node, opts);
-  for (auto& c : node->children) n += lower_hash_joins(c, opts);
+std::size_t lower_hash_joins(PlanPtr& node) {
+  std::size_t n = try_lower_join(node);
+  for (auto& c : node->children) n += lower_hash_joins(c);
   return n;
 }
 
@@ -239,7 +235,7 @@ std::size_t prune_join_columns(PlanPtr& node) {
 
 /// If `node` heads a chain of Selects over a Scan, turns the column=literal
 /// equalities into an IndexLookup on the scan and removes those Selects.
-std::size_t try_lower_index(PlanPtr& node, const PlannerOptions& opts) {
+std::size_t try_lower_index(PlanPtr& node) {
   if (node->kind != PlanNode::Kind::kSelect) return 0;
   std::vector<PlanPtr*> links;
   PlanPtr* cur = &node;
@@ -256,7 +252,7 @@ std::size_t try_lower_index(PlanPtr& node, const PlannerOptions& opts) {
   for (std::size_t i = 0; i < links.size(); ++i) {
     const Expr& p = *(*links[i])->predicate;
     if (p.op() != Expr::Op::kCompare || p.negated()) continue;
-    const Schema& ident = ident_schema_of(**links[i], opts);
+    const Schema& ident = *(*links[i])->schema;
     const Atom& a = p.atoms()[0];
     const Atom& b = p.atoms()[1];
     // Exactly one side a column of the scan, the other a literal (same
@@ -294,9 +290,9 @@ std::size_t try_lower_index(PlanPtr& node, const PlannerOptions& opts) {
   return 1;
 }
 
-std::size_t lower_index_lookups(PlanPtr& node, const PlannerOptions& opts) {
-  std::size_t n = try_lower_index(node, opts);
-  for (auto& c : node->children) n += lower_index_lookups(c, opts);
+std::size_t lower_index_lookups(PlanPtr& node) {
+  std::size_t n = try_lower_index(node);
+  for (auto& c : node->children) n += lower_index_lookups(c);
   return n;
 }
 
@@ -427,10 +423,10 @@ void optimize(PlanPtr& root, const PlannerOptions& opts) {
   if (opts.optimize) {
     rewrites += fold_predicates(root);
     rewrites += split_conjunctions(root);
-    while (push_once(root, opts)) ++rewrites;
-    rewrites += lower_hash_joins(root, opts);
+    while (push_once(root)) ++rewrites;
+    rewrites += lower_hash_joins(root);
     rewrites += prune_join_columns(root);
-    rewrites += lower_index_lookups(root, opts);
+    rewrites += lower_index_lookups(root);
   }
   if (opts.exists_only) {
     rewrites += drop_sorts(root);

@@ -30,11 +30,6 @@ struct PlannerOptions {
   /// Disable all rewrites (est/actual bookkeeping still happens); the plan
   /// executes in its naive built shape.
   bool optimize = true;
-  /// Schema deciding identifier-hood of bare atoms (see compile() in
-  /// relational/expr.hpp).  Defaults to each node's own schema; the solver
-  /// passes the full target schema so partially-built rows resolve the same
-  /// way as complete ones.
-  const Schema* ident_schema = nullptr;
   /// Parallel lanes for execution (copied into ExecContext::jobs by the
   /// planner entry points); <= 1 runs serially.  Does not affect plan shape.
   std::size_t jobs = 1;

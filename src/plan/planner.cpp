@@ -97,8 +97,7 @@ Table run_select(const Catalog& db, const SelectStmt& stmt,
                  const PlannerOptions& opts) {
   CCSQL_SPAN(span, "plan.query", "plan");
   PlanPtr root = plan_select(db, stmt, opts);
-  ExecContext ctx{&db, &db.functions(), opts.ident_schema, opts.jobs,
-                  opts.analyze};
+  ExecContext ctx{&db, &db.functions(), opts.jobs, opts.analyze};
   return execute(*root, ctx, opts.exists_only ? 1 : kNoLimit);
 }
 
@@ -108,31 +107,10 @@ bool is_empty(const Catalog& db, const SelectStmt& stmt) {
   return run_select(db, stmt, opts).row_count() == 0;
 }
 
-Table cross_select(const Table& left, const Table& right, const Expr& pred,
-                   const Schema& ident_schema,
-                   const FunctionRegistry* functions, std::size_t jobs) {
-  CCSQL_SPAN(span, "plan.cross_select", "plan");
-  auto scan_of = [](const Table& t) {
-    PlanPtr scan = make_node(PlanNode::Kind::kScan);
-    scan->bound = &t;
-    scan->schema = t.schema_ptr();
-    scan->est_rows = static_cast<double>(t.row_count());
-    return scan;
-  };
-  PlanPtr root =
-      make_select(make_cross(scan_of(left), scan_of(right)), pred);
-  PlannerOptions opts;
-  opts.ident_schema = &ident_schema;
-  optimize(root, opts);
-  ExecContext ctx{nullptr, functions, &ident_schema, jobs};
-  return execute(*root, ctx);
-}
-
 std::string explain(const Catalog& db, const SelectStmt& stmt,
                     const PlannerOptions& opts) {
   PlanPtr root = plan_select(db, stmt, opts);
-  ExecContext ctx{&db, &db.functions(), opts.ident_schema, opts.jobs,
-                  opts.analyze};
+  ExecContext ctx{&db, &db.functions(), opts.jobs, opts.analyze};
   (void)execute(*root, ctx, opts.exists_only ? 1 : kNoLimit);
   return opts.analyze ? render_analyze(*root) : render(*root);
 }

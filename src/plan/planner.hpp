@@ -28,16 +28,6 @@ namespace ccsql::plan {
 /// Emptiness check for `stmt` in exists mode: stops at the first row.
 [[nodiscard]] bool is_empty(const Catalog& db, const SelectStmt& stmt);
 
-/// Plans and runs `select(pred, cross(left, right))` over two free-standing
-/// tables — the solver's incremental-generation step.  `ident_schema`
-/// decides which bare identifiers in `pred` are columns (the solver passes
-/// the full target schema so constraints resolve identically at every
-/// prefix width).
-[[nodiscard]] Table cross_select(const Table& left, const Table& right,
-                                 const Expr& pred, const Schema& ident_schema,
-                                 const FunctionRegistry* functions = nullptr,
-                                 std::size_t jobs = 1);
-
 /// Plans, executes, and renders `stmt` with estimated vs actual row counts
 /// (see explain.hpp for the format).
 [[nodiscard]] std::string explain(const Catalog& db, const SelectStmt& stmt,

@@ -66,6 +66,9 @@ class ProtocolSpec {
   /// predicates.  Call install_functions() after the message catalog is
   /// final and before generating tables.
   [[nodiscard]] FunctionRegistry& functions() noexcept { return functions_; }
+  [[nodiscard]] const FunctionRegistry& functions() const noexcept {
+    return functions_;
+  }
   void install_functions();
 
   /// Generates every controller table (cached) and returns a query session

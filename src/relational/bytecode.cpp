@@ -421,15 +421,14 @@ void Program::eval_range(std::span<const Value* const> cols,
   ev.run_range(static_cast<std::uint32_t>(insns_.size() - 1), begin, end, out);
 }
 
-std::size_t Program::columns_read() const {
+std::vector<std::uint32_t> Program::columns() const {
   std::vector<std::uint32_t> seen;
   for (const Operand& op : operands_) {
-    if (!op.is_column) continue;
-    if (std::find(seen.begin(), seen.end(), op.column) == seen.end()) {
-      seen.push_back(op.column);
-    }
+    if (op.is_column) seen.push_back(op.column);
   }
-  return seen.size();
+  std::sort(seen.begin(), seen.end());
+  seen.erase(std::unique(seen.begin(), seen.end()), seen.end());
+  return seen;
 }
 
 }  // namespace bc

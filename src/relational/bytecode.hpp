@@ -139,10 +139,14 @@ class Program {
   void eval_range(std::span<const Value* const> cols, std::uint32_t begin,
                   std::uint32_t end, Sel& out, Scratch& scratch) const;
 
+  /// The distinct table columns the program reads, ascending: the only
+  /// entries of `cols` that eval_batch/eval_range dereference.
+  [[nodiscard]] std::vector<std::uint32_t> columns() const;
+
   /// Number of distinct table columns the program reads — the basis of
   /// EXPLAIN ANALYZE's bytes-touched estimate (columns_read * 4 bytes per
   /// row visited, since cells are interned u32 symbol ids).
-  [[nodiscard]] std::size_t columns_read() const;
+  [[nodiscard]] std::size_t columns_read() const { return columns().size(); }
 
  private:
   friend Program (::ccsql::compile_bytecode)(const Expr&, const Schema&,

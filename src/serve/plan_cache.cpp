@@ -27,8 +27,7 @@ std::size_t estimate_plan_bytes(const plan::PlanNode& n) {
   return bytes;
 }
 
-/// Attaches a shared pre-compiled RowFilter to every kSelect node.  The
-/// executor runs this tree with ident_schema unset, so filters compile
+/// Attaches a shared pre-compiled RowFilter to every kSelect node, compiled
 /// against (node schema, node schema) — the same pair the executor would
 /// use.
 void precompile_filters(plan::PlanNode& n, const Catalog& catalog) {
@@ -65,13 +64,7 @@ std::optional<CachedStatement::Unit::FastEmpty> make_fast_empty(
   if (n->kind != Kind::kScan && n->kind != Kind::kIndexLookup) {
     return std::nullopt;
   }
-  if (n->bound != nullptr) {
-    out.base = n->bound;
-  } else if (!n->table_name.empty()) {
-    out.base = &catalog.get(n->table_name);
-  } else {
-    return std::nullopt;
-  }
+  out.base = &catalog.get(n->table_name);
   out.cols = out.base->column_ptrs();
   if (n->kind == Kind::kIndexLookup) {
     std::vector<std::size_t> cols;

@@ -4,9 +4,9 @@
 #include <limits>
 
 #include "obs/obs.hpp"
-#include "relational/database.hpp"
 #include "relational/error.hpp"
 #include "relational/expr.hpp"
+#include "solver/cross_filter.hpp"
 
 namespace ccsql {
 
@@ -79,17 +79,19 @@ Table generate_incremental(const GenerationInput& input,
                            IncrementalTrace* trace) {
   input.validate();
   const Schema& full = *input.schema;
-  std::vector<bool> applied(input.constraints.size(), false);
+  // A constraint becomes ready at the column that binds the last of its
+  // referenced columns (column 0 when it references none).
+  std::vector<std::size_t> ready_at(input.constraints.size(), 0);
+  for (std::size_t k = 0; k < input.constraints.size(); ++k) {
+    for (const auto& ref :
+         input.constraints[k].expr.referenced_columns(full)) {
+      ready_at[k] = std::max(ready_at[k], full.index_of(ref));
+    }
+  }
 
   CCSQL_SPAN(gen_span, "solver.generate_incremental", "solver");
   gen_span.arg("columns", full.size());
   gen_span.arg("constraints", input.constraints.size());
-
-  // The per-column cross+filter steps run as queries of a scratch session:
-  // it carries the constraint predicates and this generation's jobs setting.
-  Database session;
-  if (input.functions != nullptr) session.functions() = *input.functions;
-  session.set_jobs(input.jobs);
 
   Table cur = Table::unit();
   for (std::size_t ci = 0; ci < full.size(); ++ci) {
@@ -102,34 +104,20 @@ Table generate_incremental(const GenerationInput& input,
     step.column = col;
     step.rows_before_filter = cur.row_count() * dom.row_count();
 
-    // Every pending constraint that becomes fully bound once `col` joins
-    // the prefix is conjoined into this step's filter.
+    // Every constraint that becomes fully bound once `col` joins the
+    // prefix is conjoined into this step's filter.
     std::vector<Expr> ready;
     for (std::size_t k = 0; k < input.constraints.size(); ++k) {
-      if (applied[k]) continue;
-      bool bound = true;
-      for (const auto& ref :
-           input.constraints[k].expr.referenced_columns(full)) {
-        if (!cur.schema().has(ref) && ref != col) {
-          bound = false;
-          break;
-        }
-      }
-      if (bound) {
-        applied[k] = true;
-        ready.push_back(input.constraints[k].expr);
-        step.constraints_applied.push_back(input.constraints[k].column);
-      }
+      if (ready_at[k] != ci) continue;
+      ready.push_back(input.constraints[k].expr);
+      step.constraints_applied.push_back(input.constraints[k].column);
     }
-    if (ready.empty()) {
-      cur = Table::cross(cur, dom);
-    } else {
-      // The planner pushes single-side conjuncts below the cross and turns
-      // prefix-column = new-column equalities into a hash join, so the
-      // unconstrained product is never materialised.
-      cur = session.cross_select(cur, dom, Expr::conjunction(std::move(ready)),
-                                 full);
-    }
+    // The fused kernel filters (prefix row, domain value) candidates in
+    // batches, so the unconstrained product is never materialised.
+    cur = ready.empty() ? Table::cross(cur, dom)
+                        : cross_filter(cur, dom,
+                                       Expr::conjunction(std::move(ready)),
+                                       full, input.functions);
     col_span.arg("rows_before", step.rows_before_filter);
     col_span.arg("rows_after", cur.row_count());
     col_span.arg("constraints_applied", step.constraints_applied.size());
@@ -162,7 +150,8 @@ Table generate_monolithic(const GenerationInput& input) {
   // short-circuit beats the bytecode engine's linear scalar pass at
   // one-row granularity, and keeping this path interpreter-only makes the
   // monolithic-vs-incremental equivalence tests a genuine cross-engine
-  // check (the incremental path filters through the vectorized executor).
+  // check (the incremental path filters through the bytecode kernel,
+  // cross_filter).
   std::vector<CompiledExpr> preds;
   for (const auto& c : input.constraints) {
     preds.push_back(compile(c.expr, full, full, input.functions));

@@ -277,7 +277,15 @@ TEST(Cli, MalformedNumbersAreRejected) {
         "serve --jobs 0", "sim --quads -3", "reach --ops", "sim --addrs 0",
         "reach --quads 0", "sim --quads 0", "sim --txns 0", "sweep --seeds 0",
         "reach --only-ops bogus", "reach --only-ops prd,bogus",
-        "reach --node-ops 2,x", "reach --node-ops 1,+2"}) {
+        "reach --node-ops 2,x", "reach --node-ops 1,+2",
+        // Past the count ceilings: rejected at parse time, before anything
+        // is sized by the value.
+        "sim --quads 100000 --txns 1", "reach --quads 1000 --addrs 1000",
+        "sim --quads 257", "sim --addrs 65537", "sim --capacity 65537",
+        "sim --txns 1048577", "reach --ops 1048577",
+        "reach --node-ops 2,1048577", "sweep --seeds 1001",
+        "serve --sessions 257", "serve --iterations 1001",
+        "flow --jobs 1025"}) {
     RunResult r = run(args);
     EXPECT_EQ(r.exit_code, 2) << args << "\n" << r.output;
     EXPECT_NE(r.output.find("error: "), std::string::npos) << args;
@@ -310,6 +318,18 @@ TEST(Cli, IndexBuildSplitIsJobsIndependent) {
     EXPECT_EQ(metric(par.output, "plan.index_builds"), builds) << i;
     EXPECT_EQ(metric(par.output, "plan.index_hits"), hits) << i;
   }
+}
+
+// Flow generates each controller table once (eight, then ED in the mapping
+// stage): taking the function registry for the first generation must not
+// build the whole database inside that table's timed window.
+TEST(Cli, FlowGeneratesEachTableOnce) {
+#ifdef CCSQL_TRACING_DISABLED
+  GTEST_SKIP() << "instrumentation compiled out (CCSQL_TRACING=OFF)";
+#endif
+  const RunResult r = run("flow --metrics");
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_EQ(metric(r.output, "solver.tables_generated"), 9) << r.output;
 }
 
 }  // namespace

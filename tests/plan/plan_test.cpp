@@ -219,27 +219,6 @@ TEST(Planner, FusedIndexLookupHonoursRowBudget) {
   tracer.enable_metrics(was_on);
 }
 
-TEST(CrossSelect, MatchesNaiveCrossPlusFilter) {
-  Table left(Schema::of({"x", "y"}));
-  left.append_texts({"a", "1"});
-  left.append_texts({"b", "2"});
-  left.append_texts({"c", "1"});
-  Table right(Schema::of({"z"}));
-  right.append_texts({"1"});
-  right.append_texts({"2"});
-  right.append_texts({"3"});
-  const SchemaPtr full = Schema::of({"x", "y", "z"});
-  Expr pred = parse_expr("y = z and not x = c");
-
-  Table planned = plan::cross_select(left, right, pred, *full);
-  Table crossed = Table::cross(left, right);
-  Table naive =
-      crossed.select(compile(pred, crossed.schema(), *full).predicate());
-  EXPECT_EQ(planned.row_count(), naive.row_count());
-  EXPECT_TRUE(planned.set_equal(naive));
-  EXPECT_EQ(planned.row_count(), 2u);  // (a, 1, 1) and (b, 2, 2)
-}
-
 // ---- Golden EXPLAIN output for two representative ASURA invariant queries.
 
 TEST(Explain, GoldenSingleTablePointLookup) {

@@ -99,26 +99,5 @@ TEST(Database, CopiesAreIndependentSessions) {
   EXPECT_TRUE(b.has("Extra"));
 }
 
-TEST(Database, CrossSelectMatchesNaiveCrossAndFilter) {
-  Database db;  // settings-only session; cross_select takes free tables
-  Table l(Schema::of({"a"}));
-  l.append({V("x")});
-  l.append({V("y")});
-  Table r(Schema::of({"b"}));
-  r.append({V("x")});
-  r.append({V("z")});
-  SchemaPtr full = Schema::of({"a", "b"});
-
-  Expr pred = parse_expr("a = b");
-  Table joined = db.cross_select(l, r, pred, *full);
-  ASSERT_EQ(joined.row_count(), 1u);
-  EXPECT_EQ(joined.at(0, "a"), V("x"));
-  EXPECT_EQ(joined.at(0, "b"), V("x"));
-
-  // The naive cross-then-filter reference must agree.
-  EXPECT_EQ(to_csv(oracle::cross_select_naive(l, r, pred, *full)),
-            to_csv(joined));
-}
-
 }  // namespace
 }  // namespace ccsql
